@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race race-obs chaos chaos-cluster fuzz-seed eval-sweep bench bench-workers bench-obs bench-json serve-smoke crash-smoke bench-serve bench-batch bench-shard clean
+.PHONY: ci vet lint build test race race-obs chaos chaos-cluster fuzz-seed eval-sweep bench bench-workers bench-obs serve-smoke crash-smoke bench-serve bench-batch bench-shard clean
 
 ci: vet build test race chaos fuzz-seed
 
@@ -91,16 +91,6 @@ bench-workers:
 bench-obs:
 	$(GO) test -bench 'AssessGroupInstrumented' -benchmem -run '^$$' .
 
-# Machine-readable snapshot of the assessment-kernel benchmarks
-# (ns/op, B/op, allocs/op per benchmark) — the artifact CI uploads so
-# kernel performance is reviewable per commit. Short -benchtime keeps it
-# cheap; use `make bench` for full-length local numbers.
-bench-json:
-	$(GO) test -bench 'AssessElement$$|AssessElementWorkers|WorkerScaling|QRReuse|Median$$' \
-		-benchmem -benchtime 0.2s -run '^$$' . ./internal/linalg ./internal/stats \
-		| $(GO) run ./cmd/benchjson -o BENCH_3.json
-	@echo wrote BENCH_3.json
-
 # End-to-end smoke test of the assessment service binary: builds
 # cmd/litmus-serve, boots it on an ephemeral port, submits the golden
 # scenario through the typed client and asserts the decision (and exact
@@ -125,17 +115,13 @@ bench-serve:
 	$(GO) run ./cmd/litmus-loadgen -n 200 -c 8 -o BENCH_4.json
 	@echo wrote BENCH_4.json
 
-# Batch-vs-singles amortization proof. First the engine-level benchmark
-# pair (AssessChangelog vs per-change AssessChangeContext) through
-# cmd/benchjson for trend-spotting, then the full service-path run: a
+# Batch-vs-singles amortization proof on the service path: a
 # 1000-entry changelog as one POST /v1/assess/batch vs 1000 sequential
 # singles, written to BENCH_8.json — the target (wall ≤ 0.35×,
 # allocations ≤ 0.25×) is enforced by the run's exit code.
 bench-batch:
-	$(GO) test -bench 'BatchChangelog|SequentialSingles' -benchmem -benchtime 1x -run '^$$' . \
-		| $(GO) run ./cmd/benchjson -o BENCH_8_engine.json
 	$(GO) run ./cmd/litmus-loadgen -batch -o BENCH_8.json
-	@echo wrote BENCH_8.json and BENCH_8_engine.json
+	@echo wrote BENCH_8.json
 
 # Sharded-serving proof: the same workload (5 rounds over 120 distinct
 # requests) routed by consistent-hashed digest against 1 vs 3 in-process

@@ -2,10 +2,9 @@ package litmus
 
 // Batch-vs-singles benchmark pair: the same changelog through
 // AssessChangelog (amortized) and through per-change AssessChangeContext
-// calls (the baseline). `make bench-batch` runs both through
-// cmd/benchjson into BENCH_8.json's companion numbers; the committed
-// BENCH_8.json itself comes from `litmus-loadgen -batch`, which measures
-// the full service path at changelog scale.
+// calls (the baseline). Run them with `make bench`; the gated
+// amortization proof is `litmus-loadgen -batch` (`make bench-batch`),
+// which measures the full service path at changelog scale.
 
 import (
 	"context"

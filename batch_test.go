@@ -1,7 +1,8 @@
 package litmus
 
-// Batch-vs-singles equivalence: AssessChangelog must be byte-identical
-// (via MarshalAssessment) to N independent AssessChangeContext calls —
+// Batch-vs-singles equivalence: AssessChangelog, and a one-entry
+// AssessBatch per change, must be byte-identical (via
+// MarshalAssessment) to N independent AssessChangeContext calls —
 // at every worker count, with sharing-heavy and sharing-free entry
 // mixes, and under fault injection. The sharing counters are asserted
 // separately so a silent fall-back to the per-change path (correct but
@@ -29,7 +30,10 @@ var batchKPIs = []KPI{kpi.VoiceRetainability, kpi.DataAccessibility}
 // sharing tier: entries with identical (elements, at) signatures (full
 // panel + factorization sharing), a same-elements entry at a different
 // change time (selection sharing only), an entry on a different RNC's
-// towers (no sharing), and an invalid entry (per-entry error).
+// towers (no sharing), and the per-entry error paths — an invalid entry,
+// an entry whose control selection finds no candidates (it covers every
+// tower of its RNC), and an entry whose every KPI is unassessable (its
+// pre-change window holds too few observations).
 func batchWorld() (*netsim.Network, []*changelog.Change, SeriesProvider) {
 	topo := netsim.DefaultTopologyConfig()
 	topo.Seed = 17
@@ -45,13 +49,15 @@ func batchWorld() (*netsim.Network, []*changelog.Change, SeriesProvider) {
 		{ID: "CHG-B4", Type: changelog.HardwareUpgrade, Elements: studyB, At: at, TrueQuality: -0.7},
 		{ID: "CHG-B5", Type: changelog.ConfigChange, Elements: []string{"no-such-element"}, At: at},
 		{ID: "CHG-B6", Type: changelog.ConfigChange, Elements: studyA, At: at, TrueQuality: -1.5},
+		{ID: "CHG-B7", Type: changelog.ConfigChange, Elements: net.Children(rncs[2]), At: at},
+		{ID: "CHG-B8", Type: changelog.ConfigChange, Elements: studyA, At: epoch.Add(24 * time.Hour)},
 	}
 	ix := timeseries.NewIndex(epoch, 6*time.Hour, 28*4)
 	gcfg := gen.DefaultConfig(ix)
 	gcfg.Seed = 23
 	for _, c := range changes {
-		if c.ID == "CHG-B5" {
-			continue // invalid: stays out of the world
+		if batchErrEntries[c.ID] {
+			continue // per-entry errors: stay out of the world
 		}
 		gcfg.Effects = append(gcfg.Effects, c.Effect(net))
 	}
@@ -65,6 +71,9 @@ func batchWorld() (*netsim.Network, []*changelog.Change, SeriesProvider) {
 	return net, changes, provider
 }
 
+// batchErrEntries names the batchWorld entries that must fail per entry.
+var batchErrEntries = map[string]bool{"CHG-B5": true, "CHG-B7": true, "CHG-B8": true}
+
 func batchPipeline(workers int, provider SeriesProvider, net *netsim.Network, scope *Scope) *Pipeline {
 	return &Pipeline{
 		Network:          net,
@@ -75,10 +84,11 @@ func batchPipeline(workers int, provider SeriesProvider, net *netsim.Network, sc
 	}
 }
 
-// assertBatchMatchesSingles runs the changelog through AssessBatch and
-// through per-change AssessChangeContext calls on an identically built
-// pipeline and requires byte-identical documents and identical error
-// strings, entry by entry.
+// assertBatchMatchesSingles runs the changelog through AssessBatch, and
+// each change through AssessChangeContext and through a one-entry
+// AssessBatch carrying its own provider (the serve tier's shape for a
+// single submission), on identically built pipelines, and requires
+// byte-identical documents and identical error strings, entry by entry.
 func assertBatchMatchesSingles(t *testing.T, workers int, wrap func(SeriesProvider) SeriesProvider) {
 	t.Helper()
 	ctx := context.Background()
@@ -102,8 +112,19 @@ func assertBatchMatchesSingles(t *testing.T, workers int, wrap func(SeriesProvid
 		providerS = wrap(providerS)
 	}
 	ps := batchPipeline(workers, providerS, netS, nil)
+	pOne := batchPipeline(workers, nil, netS, nil)
 	for i, c := range changesS {
 		single, serr := ps.AssessChangeContext(ctx, c, batchKPIs, 14)
+		one, err := pOne.AssessBatch(ctx, []BatchEntry{{Change: c, Provider: providerS}}, batchKPIs, 14)
+		if err != nil {
+			t.Fatalf("workers=%d entry %s: one-entry AssessBatch: %v", workers, c.ID, err)
+		}
+		if (serr == nil) != (one.Errors[0] == nil) {
+			t.Fatalf("workers=%d entry %s: one-entry error mismatch: batch=%v single=%v", workers, c.ID, one.Errors[0], serr)
+		}
+		if serr != nil && one.Errors[0].Error() != serr.Error() {
+			t.Fatalf("workers=%d entry %s: one-entry error text mismatch:\nbatch:  %s\nsingle: %s", workers, c.ID, one.Errors[0], serr)
+		}
 		if (serr == nil) != (batch.Errors[i] == nil) {
 			t.Fatalf("workers=%d entry %s: error mismatch: batch=%v single=%v", workers, c.ID, batch.Errors[i], serr)
 		}
@@ -126,6 +147,13 @@ func assertBatchMatchesSingles(t *testing.T, workers int, wrap func(SeriesProvid
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("workers=%d entry %s: batch and single documents differ:\nbatch:\n%s\nsingle:\n%s", workers, c.ID, got, want)
+		}
+		gotOne, err := MarshalAssessment(one.Results[0])
+		if err != nil {
+			t.Fatalf("workers=%d entry %s: marshal one-entry batch: %v", workers, c.ID, err)
+		}
+		if !bytes.Equal(gotOne, want) {
+			t.Fatalf("workers=%d entry %s: one-entry batch and single documents differ:\nbatch:\n%s\nsingle:\n%s", workers, c.ID, gotOne, want)
 		}
 	}
 }
@@ -187,13 +215,10 @@ func TestBatchSharingCounters(t *testing.T) {
 	if got, _ := snap["litmus_batch_factorizations_reused_total"].(int64); got != batch.FactorizationsReused {
 		t.Errorf("registry reuse counter %v != BatchAssessment.FactorizationsReused %d", got, batch.FactorizationsReused)
 	}
-	// The invalid entry must carry a per-entry error, not fail the batch.
-	if batch.Errors[4] == nil {
-		t.Error("invalid entry CHG-B5: want per-entry error")
-	}
+	// The failing entries must carry per-entry errors, not fail the batch.
 	for i, c := range changes {
-		if c.ID != "CHG-B5" && batch.Errors[i] != nil {
-			t.Errorf("entry %s: unexpected error %v", c.ID, batch.Errors[i])
+		if got := batch.Errors[i] != nil; got != batchErrEntries[c.ID] {
+			t.Errorf("entry %s: error %v, want per-entry error %v", c.ID, batch.Errors[i], batchErrEntries[c.ID])
 		}
 	}
 }

@@ -18,9 +18,8 @@
 //	GET  /v1/jobs/{id}/result    canonical assessment document (200 when
 //	                             done, 409 while pending, 500 when failed)
 //	GET  /v1/jobs/{id}/trace     execution trace: queue-wait vs run
-//	                             timings, attempts and retries, the
-//	                             degradations of a partial result, and
-//	                             the per-attempt span trees
+//	                             timings, the degradations of a partial
+//	                             result, and the span tree
 //	GET  /healthz                liveness
 //	GET  /readyz                 readiness (503 while draining)
 //	GET  /metrics                Prometheus text exposition
@@ -364,8 +363,11 @@ func compile(req *AssessRequest) (*compiledRequest, error) {
 // the same key. The full sha256 digest is kept: ids are opaque to
 // clients, and a truncated key colliding would silently serve one
 // request's cached assessment as another's.
-func (c *compiledRequest) hash() string {
-	sum := sha256.Sum256(c.canonicalJSON())
+func (c *compiledRequest) hash() string { return canonicalID(c.canonicalJSON()) }
+
+// canonicalID returns the job id of a canonical request rendering.
+func canonicalID(canonical []byte) string {
+	sum := sha256.Sum256(canonical)
 	return "j" + hex.EncodeToString(sum[:])
 }
 

@@ -1,10 +1,10 @@
 package serve
 
 // Batch assessment endpoint: POST /v1/assess/batch accepts a changelog
-// against one shared synthetic world and runs it through the engine's
-// batch path (litmus.Pipeline.AssessBatch), which amortizes control
-// selection, panel assembly and before-window factorizations across
-// entries.
+// against one shared synthetic world. It runs the same job path as a
+// single submission (execute.go) — the engine's batch path,
+// litmus.Pipeline.AssessBatch, which amortizes control selection, panel
+// assembly and before-window factorizations across entries.
 //
 // Cache interaction: every entry is canonicalized exactly like a single
 // POST /v1/assess submission — same normalization, same digest — so a
@@ -14,30 +14,15 @@ package serve
 // of which 400 are cached computes only the 600 misses. Entry order
 // never changes per-entry digests, and duplicate entries within a batch
 // dedup onto one computation.
-//
-// Determinism: each entry reads a provider that overlays only that
-// entry's ground-truth effect on the shared base world. The generator
-// consumes no randomness for elements outside an effect's scope, so an
-// entry's series — and therefore its result bytes — are identical to a
-// single submission's world built with that entry's effect alone.
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 
-	"repro/internal/control"
-	"repro/internal/gen"
-	"repro/internal/kpi"
-	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/serve/journal"
-
-	litmus "repro"
 )
 
 // maxBatchEntries bounds one batch submission.
@@ -119,33 +104,18 @@ type batchDocEntry struct {
 	compileErr string
 }
 
-// pendingEntry is one unique, uncached entry awaiting computation.
-type pendingEntry struct {
+// compiledEntry is one distinct valid changelog entry: its digest and
+// compiled request.
+type compiledEntry struct {
 	digest string
 	req    *compiledRequest
-}
-
-// batchCompile is a validated batch submission.
-type batchCompile struct {
-	entries []batchDocEntry             // submission order, 1:1 with Changes
-	unique  map[string]*compiledRequest // digest → compiled entry
-	order   []string                    // unique digests, first-seen order
-}
-
-// batchState is the execution state a batch job carries: the entry
-// list, the unique uncached entries to compute, and the results
-// resolved from the cache at submit time.
-type batchState struct {
-	entries  []batchDocEntry
-	pending  []pendingEntry
-	resolved map[string]cachedResult
 }
 
 // compileBatch validates a batch request. Shared-field errors (index,
 // topology, KPIs, window, assessor, controls) fail the whole request;
 // per-entry change errors are recorded on the entry and never fail the
 // batch.
-func compileBatch(req *BatchAssessRequest) (*batchCompile, error) {
+func compileBatch(req *BatchAssessRequest) (*submission, error) {
 	if len(req.Changes) == 0 {
 		return nil, fmt.Errorf("changes is required")
 	}
@@ -168,7 +138,8 @@ func compileBatch(req *BatchAssessRequest) (*batchCompile, error) {
 	if _, err := compile(&probe); err != nil {
 		return nil, err
 	}
-	bc := &batchCompile{unique: map[string]*compiledRequest{}}
+	sub := &submission{}
+	seen := map[string]bool{}
 	for _, ch := range req.Changes {
 		entryReq := single
 		entryReq.Change = ch
@@ -178,23 +149,31 @@ func compileBatch(req *BatchAssessRequest) (*batchCompile, error) {
 			entry.compileErr = err.Error()
 		} else {
 			entry.digest = c.hash()
-			if _, ok := bc.unique[entry.digest]; !ok {
-				bc.unique[entry.digest] = c
-				bc.order = append(bc.order, entry.digest)
+			if !seen[entry.digest] {
+				seen[entry.digest] = true
+				sub.unique = append(sub.unique, compiledEntry{digest: entry.digest, req: c})
 			}
 		}
-		bc.entries = append(bc.entries, entry)
+		sub.entries = append(sub.entries, entry)
 	}
-	return bc, nil
+	sub.id = batchID(sub.entries)
+	// The journal payload is the request document itself: recompiling it
+	// on replay reproduces the batch id and the per-entry digests.
+	payload, err := json.Marshal(req)
+	if err != nil {
+		return nil, err // plain data; cannot fail
+	}
+	sub.record = journal.Record{Kind: journal.KindBatchSubmit, Digest: sub.id, Payload: payload}
+	return sub, nil
 }
 
-// hash returns the batch job id: a digest over the ordered per-entry
+// batchID returns the batch job id: a digest over the ordered per-entry
 // identities. Per-entry digests are order-independent (each entry
 // canonicalizes alone); the batch id covers order so a batch job's
 // result document always matches its submission's entry order.
-func (bc *batchCompile) hash() string {
+func batchID(entries []batchDocEntry) string {
 	h := sha256.New()
-	for _, e := range bc.entries {
+	for _, e := range entries {
 		if e.compileErr != "" {
 			h.Write([]byte("!" + e.compileErr))
 		} else {
@@ -205,31 +184,6 @@ func (bc *batchCompile) hash() string {
 	return "b" + hex.EncodeToString(h.Sum(nil))
 }
 
-// submitEntries renders the per-entry submit statuses. allCached marks
-// every valid entry cached (the batch job itself is already done).
-func (bc *batchCompile) submitEntries(resolved map[string]cachedResult, allCached bool) []BatchEntrySubmit {
-	out := make([]BatchEntrySubmit, 0, len(bc.entries))
-	for _, e := range bc.entries {
-		ent := BatchEntrySubmit{ID: e.digest, Error: e.compileErr}
-		if e.digest != "" {
-			if _, ok := resolved[e.digest]; ok || allCached {
-				ent.Cached = true
-			}
-		}
-		out = append(out, ent)
-	}
-	return out
-}
-
-// entryCachedLocked resolves one entry digest against finished jobs and
-// the result cache. Callers hold the server mutex.
-func (s *Server) entryCachedLocked(digest string) (cachedResult, bool) {
-	if j, ok := s.jobs[digest]; ok && j.state == stateDone {
-		return cachedResult{result: j.result, degraded: j.degraded}, true
-	}
-	return s.cache.get(digest)
-}
-
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchAssessRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
@@ -238,285 +192,23 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	bc, err := compileBatch(&req)
+	sub, err := compileBatch(&req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
 		return
 	}
-	id := bc.hash()
-	now := time.Now()
-	traceID, ok := parseTraceparent(r.Header.Get(traceparentHeader))
-	if !ok {
-		traceID = newTraceID()
-	}
-
-	s.mu.Lock()
-	// Resolve entries against the cache under the lock: the per-entry
-	// cached flags describe this submission's moment, and a fresh batch
-	// job must carry the resolved bytes so eviction cannot outrun it.
-	resolved := map[string]cachedResult{}
-	var pending []pendingEntry
-	for _, d := range bc.order {
-		if cr, ok := s.entryCachedLocked(d); ok {
-			resolved[d] = cr
-		} else {
-			pending = append(pending, pendingEntry{digest: d, req: bc.unique[d]})
-		}
-	}
-	respBase := BatchSubmitResponse{ID: id, Unique: len(bc.order), CachedEntries: len(resolved)}
-
-	if j, ok := s.jobs[id]; ok {
-		switch j.state {
-		case stateDone:
-			s.cache.get(id) // refresh recency
-			resp := respBase
-			resp.Status, resp.Cached = stateDone, true
+	s.submit(w, r, sub, func(status string, cached bool, resolved map[string]cachedResult) any {
+		// A done batch job answers every valid entry from its document.
+		allCached := status == stateDone
+		resp := BatchSubmitResponse{ID: sub.id, Status: status, Cached: cached, Unique: len(sub.unique), CachedEntries: len(resolved)}
+		if allCached {
 			resp.CachedEntries = resp.Unique
-			resp.Entries = bc.submitEntries(resolved, true)
-			jobTrace := j.traceID
-			s.mu.Unlock()
-			s.reg.Counter(obs.MetricCacheHits).Add(1)
-			annotate(w, id, jobTrace)
-			setTraceparent(w, jobTrace)
-			writeJSON(w, http.StatusOK, resp)
-			return
-		case stateQueued, stateRunning:
-			resp := respBase
-			resp.Status, resp.Cached = j.state, true
-			resp.Entries = bc.submitEntries(resolved, false)
-			jobTrace := j.traceID
-			s.mu.Unlock()
-			s.reg.Counter(obs.MetricCacheHits).Add(1)
-			annotate(w, id, jobTrace)
-			setTraceparent(w, jobTrace)
-			writeJSON(w, http.StatusAccepted, resp)
-			return
-		case stateFailed:
-			// Retry on resubmit, exactly like a single job: reset the
-			// record only once the enqueue succeeds. The retry carries
-			// this submission's batch state — the cache may have filled
-			// since the failed run.
-			if ok, _ := s.enqueueLocked(w, j, now); ok {
-				j.done = make(chan struct{})
-				j.started = time.Time{}
-				j.finished = time.Time{}
-				j.result = nil
-				j.degraded = false
-				j.traceID = traceID
-				j.attempts, j.retries = 0, 0
-				j.spans, j.failures = nil, nil
-				j.batch = &batchState{entries: bc.entries, pending: pending, resolved: resolved}
-				if j.finishedElem != nil {
-					s.finished.Remove(j.finishedElem)
-					j.finishedElem = nil
-				}
-				s.journalBatchSubmitLocked(id, &req)
-				s.mu.Unlock()
-				resp := respBase
-				resp.Status = stateQueued
-				resp.Entries = bc.submitEntries(resolved, false)
-				annotate(w, id, traceID)
-				setTraceparent(w, traceID)
-				writeJSON(w, http.StatusAccepted, resp)
-			}
-			return
 		}
-	}
-	if hit, ok := s.cache.get(id); ok {
-		// Batch record aged out but its document is still cached:
-		// resurrect a done job around it.
-		j := newJob(id, nil, now)
-		j.batch = &batchState{entries: bc.entries, resolved: resolved}
-		j.state = stateDone
-		j.cached = true
-		j.degraded = hit.degraded
-		j.finished = now
-		j.result = hit.result
-		j.traceID = traceID
-		close(j.done)
-		s.jobs[id] = j
-		s.recordFinishedLocked(j)
-		s.mu.Unlock()
-		s.reg.Counter(obs.MetricCacheHits).Add(1)
-		resp := respBase
-		resp.Status, resp.Cached = stateDone, true
-		resp.CachedEntries = resp.Unique
-		resp.Entries = bc.submitEntries(resolved, true)
-		annotate(w, id, traceID)
-		setTraceparent(w, traceID)
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	j := newJob(id, nil, now)
-	j.traceID = traceID
-	j.batch = &batchState{entries: bc.entries, pending: pending, resolved: resolved}
-	if ok, _ := s.enqueueLocked(w, j, now); ok {
-		s.jobs[id] = j
-		s.journalBatchSubmitLocked(id, &req)
-		s.mu.Unlock()
-		s.reg.Counter(obs.MetricCacheHits).Add(int64(len(resolved)))
-		s.reg.Counter(obs.MetricCacheMisses).Add(int64(len(pending)))
-		resp := respBase
-		resp.Status = stateQueued
-		resp.Entries = bc.submitEntries(resolved, false)
-		annotate(w, id, traceID)
-		setTraceparent(w, traceID)
-		writeJSON(w, http.StatusAccepted, resp)
-	}
-}
-
-// batchOutcome is one computed entry's result.
-type batchOutcome struct {
-	result   []byte
-	degraded bool
-	errText  string
-}
-
-// executeBatch runs one attempt of a batch job: the unique uncached
-// entries go through the engine's batch path against one shared world;
-// cached entries are spliced back in from their submit-time resolution.
-// The per-entry results land in the cache under the per-entry digests —
-// the same keys single submissions use.
-func (s *Server) executeBatch(ctx context.Context, scope *obs.Scope, j *job) (ar attemptResult, err error) {
-	bs := j.batch
-	outcomes := map[string]batchOutcome{}
-	if len(bs.pending) > 0 {
-		base := bs.pending[0].req
-		net := netsim.Build(base.topo)
-		gcfg := gen.DefaultConfig(base.index)
-		gcfg.Seed = base.genSeed
-		baseGen := gen.New(net, gcfg)
-
-		assessor, err := litmus.NewAssessor(base.cfg)
-		if err != nil {
-			return ar, &permanentError{err: err}
+		resp.Entries = make([]BatchEntrySubmit, 0, len(sub.entries))
+		for _, e := range sub.entries {
+			_, ok := resolved[e.digest]
+			resp.Entries = append(resp.Entries, BatchEntrySubmit{ID: e.digest, Error: e.compileErr, Cached: e.digest != "" && (ok || allCached)})
 		}
-		var pred litmus.Predicate
-		if len(base.preds) == 1 {
-			pred = base.preds[0]
-		} else {
-			pred = control.And(base.preds...)
-		}
-
-		// Base-world series are identical for every entry, so synthesize
-		// each (element, KPI) series once per batch instead of once per
-		// entry. Panel assembly — the only phase that calls providers —
-		// is sequential, and panels treat series values as read-only, so
-		// a plain map and shared Series values are safe. Memoized values
-		// are bit-identical to fresh syntheses (the generator is
-		// deterministic), so per-entry results are unaffected.
-		type baseKey struct{ id, metric string }
-		baseCache := map[baseKey]litmus.Series{}
-		baseSeries := func(id string, metric kpi.KPI) litmus.Series {
-			k := baseKey{id, metric.String()}
-			sv, ok := baseCache[k]
-			if !ok {
-				sv = baseGen.Series(id, metric)
-				baseCache[k] = sv
-			}
-			return sv
-		}
-
-		var entries []litmus.BatchEntry
-		var digests []string
-		for _, pe := range bs.pending {
-			change, err := pe.req.buildChange()
-			if err == nil {
-				err = change.Validate(net)
-			}
-			if err != nil {
-				outcomes[pe.digest] = batchOutcome{errText: fmt.Sprintf("change does not fit the requested topology: %v", err)}
-				continue
-			}
-			// Per-entry provider: elements inside this change's impact
-			// scope read a generator carrying only this change's effect;
-			// everything else reads the shared base world. The generator
-			// consumes no randomness for out-of-scope elements, so the
-			// entry's series are bit-identical to the single-submission
-			// world built with this effect alone — while every entry's
-			// control panels share the base generator's one-time series
-			// synthesis and, downstream, one set of factorizations.
-			egcfg := gen.DefaultConfig(base.index)
-			egcfg.Seed = base.genSeed
-			egcfg.Effects = []gen.Effect{change.Effect(net)}
-			eg := gen.New(net, egcfg)
-			inScope := map[string]bool{}
-			for _, id := range change.ImpactScope(net) {
-				inScope[id] = true
-			}
-			provider := litmus.ProviderFunc(func(id string, metric kpi.KPI) (litmus.Series, bool) {
-				if net.Element(id) == nil {
-					return litmus.Series{}, false
-				}
-				if inScope[id] {
-					return eg.Series(id, metric), true
-				}
-				return baseSeries(id, metric), true
-			})
-			entries = append(entries, litmus.BatchEntry{Change: change, Provider: provider})
-			digests = append(digests, pe.digest)
-		}
-		if len(entries) > 0 {
-			p := &litmus.Pipeline{
-				Network:          net,
-				Assessor:         assessor,
-				ControlPredicate: pred,
-				MaxControls:      base.maxCtrls,
-				Obs:              scope,
-			}
-			res, err := p.AssessBatch(ctx, entries, base.kpis, base.window)
-			if err != nil {
-				return ar, err
-			}
-			for i, d := range digests {
-				if res.Errors[i] != nil {
-					outcomes[d] = batchOutcome{errText: res.Errors[i].Error()}
-					continue
-				}
-				b, err := litmus.MarshalAssessment(res.Results[i])
-				if err != nil {
-					return ar, err
-				}
-				outcomes[d] = batchOutcome{result: b, degraded: res.Results[i].Degraded}
-			}
-		}
-		// Populate the per-entry result cache so future singles and
-		// batches hit it, journaling each computed entry first: if the
-		// batch job itself is later cut short, the entries it finished
-		// still survive replay.
-		s.mu.Lock()
-		for d, o := range outcomes {
-			if o.errText == "" {
-				s.journalAppendLocked(journal.Record{Kind: journal.KindComplete, Digest: d, Degraded: o.degraded, Payload: o.result})
-				s.cache.put(d, cachedResult{result: o.result, degraded: o.degraded})
-			}
-		}
-		s.mu.Unlock()
-	}
-
-	doc := BatchResultDoc{Entries: make([]BatchEntryResult, 0, len(bs.entries))}
-	for _, e := range bs.entries {
-		ent := BatchEntryResult{ID: e.digest, ChangeID: e.changeID}
-		switch {
-		case e.compileErr != "":
-			ent.Error = e.compileErr
-		default:
-			if cr, ok := bs.resolved[e.digest]; ok {
-				ent.Cached = true
-				ent.Degraded = cr.degraded
-				ent.Assessment = cr.result
-			} else {
-				o := outcomes[e.digest]
-				ent.Error = o.errText
-				ent.Degraded = o.degraded
-				ent.Assessment = o.result
-			}
-		}
-		if ent.Degraded {
-			ar.degraded = true
-		}
-		doc.Entries = append(doc.Entries, ent)
-	}
-	ar.result, err = json.Marshal(&doc)
-	return ar, err
+		return resp
+	})
 }

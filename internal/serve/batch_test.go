@@ -145,8 +145,13 @@ func TestBatchDigestCanonicalization(t *testing.T) {
 	if bc.entries[0].digest != rev.entries[1].digest || bc.entries[1].digest != rev.entries[0].digest {
 		t.Error("reordering entries changed their digests")
 	}
-	fwd := append([]string(nil), bc.order...)
-	bwd := append([]string(nil), rev.order...)
+	var fwd, bwd []string
+	for _, e := range bc.unique {
+		fwd = append(fwd, e.digest)
+	}
+	for _, e := range rev.unique {
+		bwd = append(bwd, e.digest)
+	}
 	sort.Strings(fwd)
 	sort.Strings(bwd)
 	if len(fwd) != 2 || fwd[0] != bwd[0] || fwd[1] != bwd[1] {
@@ -158,8 +163,8 @@ func TestBatchDigestCanonicalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dup.order) != 2 {
-		t.Errorf("duplicated changelog has %d unique digests, want 2", len(dup.order))
+	if len(dup.unique) != 2 {
+		t.Errorf("duplicated changelog has %d unique digests, want 2", len(dup.unique))
 	}
 	if dup.entries[0].digest != dup.entries[2].digest || dup.entries[0].digest != dup.entries[3].digest {
 		t.Error("duplicate entries got different digests")
@@ -423,8 +428,8 @@ func scrubTraceJSON(v any) any {
 }
 
 // TestBatchTraceGolden pins the trace of a 3-entry batch job against a
-// committed fixture: the per-entry identity list and the attempt span
-// tree with one assess-batch span fanning out into per-entry
+// committed fixture: the per-entry identity list and the span tree
+// with one assess-batch span fanning out into per-entry
 // batch-entry spans — not a single opaque span. Run with
 // -update-batch-trace to rewrite the fixture.
 func TestBatchTraceGolden(t *testing.T) {
@@ -452,11 +457,8 @@ func TestBatchTraceGolden(t *testing.T) {
 	if len(tr.Entries) != 3 {
 		t.Fatalf("trace has %d entries, want 3", len(tr.Entries))
 	}
-	if len(tr.Spans) != 1 {
-		t.Fatalf("trace has %d attempt span trees, want 1", len(tr.Spans))
-	}
 	var root traceNode
-	if err := json.Unmarshal(tr.Spans[0].Span, &root); err != nil {
+	if err := json.Unmarshal(tr.Span, &root); err != nil {
 		t.Fatal(err)
 	}
 	names := map[string]bool{}

@@ -2,10 +2,11 @@ package serve
 
 // Durability: the optional journal integration (Config.Journal).
 //
-// Write path: every accepted submission appends a submit record and
-// every terminal state appends a complete record, both while the server
-// mutex is held — so a job's submit always precedes its completion in
-// the journal, and a completion is journaled before it becomes
+// Write path: every accepted submission appends its submit record
+// (KindSubmit for singles, KindBatchSubmit for changelogs) and every
+// terminal state appends a complete record, both while the server mutex
+// is held — so a job's submit always precedes its completion in the
+// journal, and a completion is journaled before it becomes
 // client-visible. Batch jobs additionally journal each computed entry
 // under its per-entry digest the moment it lands in the cache, so a
 // batch cut short by a crash or hard stop keeps the entries it
@@ -56,28 +57,6 @@ func (s *Server) journalAppendLocked(rec journal.Record) {
 	if err := s.journal.Append(rec); err != nil && s.cfg.Logger != nil {
 		s.cfg.Logger.Error("journal append failed", "kind", rec.Kind.String(), "job", rec.Digest, "error", err)
 	}
-}
-
-// journalSubmitLocked records a single submission entering the queue.
-func (s *Server) journalSubmitLocked(id string, c *compiledRequest) {
-	if s.journal == nil {
-		return
-	}
-	s.journalAppendLocked(journal.Record{Kind: journal.KindSubmit, Digest: id, Payload: c.canonicalJSON()})
-}
-
-// journalBatchSubmitLocked records a batch submission entering the
-// queue. The payload is the request document itself: recompiling it on
-// replay reproduces the batch id and the per-entry digests.
-func (s *Server) journalBatchSubmitLocked(id string, req *BatchAssessRequest) {
-	if s.journal == nil {
-		return
-	}
-	b, err := json.Marshal(req)
-	if err != nil {
-		return // plain data; cannot fail
-	}
-	s.journalAppendLocked(journal.Record{Kind: journal.KindBatchSubmit, Digest: id, Payload: b})
 }
 
 // replayFinal is one digest's folded journal state.
@@ -168,7 +147,7 @@ func (s *Server) replayJournal() {
 		if !st.pending {
 			continue
 		}
-		if s.replayEnqueue(st.submit, st.batch, now) {
+		if s.replayEnqueue(st.submit, st.batch) {
 			requeued++
 		}
 	}
@@ -182,49 +161,49 @@ func (s *Server) replayJournal() {
 // replayEnqueue recompiles one journaled submission and puts it back on
 // the queue, waiting for queue space; it gives up only when the server
 // starts draining or when live state (a racing submission, a replayed
-// result) has already claimed the digest.
-func (s *Server) replayEnqueue(payload []byte, batch bool, now time.Time) bool {
-	var id string
-	var compiled *compiledRequest
-	var bc *batchCompile
+// result) has already claimed the digest. Entries resolve against the
+// cache at enqueue time — replayed results count as hits, so a
+// re-enqueued batch only recomputes what the crash actually lost.
+func (s *Server) replayEnqueue(payload []byte, batch bool) bool {
+	var sub *submission
+	var err error
 	if batch {
 		var req BatchAssessRequest
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return false
+		if err = json.Unmarshal(payload, &req); err == nil {
+			sub, err = compileBatch(&req)
 		}
-		c, err := compileBatch(&req)
-		if err != nil {
-			return false
-		}
-		bc, id = c, c.hash()
 	} else {
 		var req AssessRequest
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return false
+		if err = json.Unmarshal(payload, &req); err == nil {
+			sub, err = compileSingle(&req)
 		}
-		c, err := compile(&req)
-		if err != nil {
-			return false
-		}
-		compiled, id = c, c.hash()
+	}
+	if err != nil {
+		return false
 	}
 
+	j := newJob(sub.id, sub, time.Time{})
+	j.traceID = newTraceID()
 	for {
 		s.mu.Lock()
 		if s.draining || s.queueClosed {
 			s.mu.Unlock()
 			return false
 		}
-		if _, ok := s.jobs[id]; ok {
+		if _, ok := s.jobs[sub.id]; ok {
 			s.mu.Unlock()
 			return false
 		}
-		if _, ok := s.cache.get(id); ok {
+		if _, ok := s.cache.get(sub.id); ok {
 			s.mu.Unlock()
 			return false
 		}
 		select {
-		case s.queue <- s.replayJobLocked(id, compiled, bc, now):
+		case s.queue <- j:
+			// The worker cannot touch j until the mutex is released.
+			j.submitted = time.Now()
+			j.resolved, j.pending = s.resolveLocked(sub)
+			s.jobs[sub.id] = j
 			s.mu.Unlock()
 			return true
 		default:
@@ -232,30 +211,4 @@ func (s *Server) replayEnqueue(payload []byte, batch bool, now time.Time) bool {
 		s.mu.Unlock()
 		time.Sleep(5 * time.Millisecond)
 	}
-}
-
-// replayJobLocked builds the job record for one re-enqueued submission
-// and registers it. Batch entries resolve against the cache at this
-// moment — replayed results count as hits, so a re-enqueued batch only
-// recomputes what the crash actually lost. Callers hold the server
-// mutex with queue space reserved.
-func (s *Server) replayJobLocked(id string, compiled *compiledRequest, bc *batchCompile, now time.Time) *job {
-	j := newJob(id, compiled, now)
-	j.traceID = newTraceID()
-	j.state = stateQueued
-	j.submitted = time.Now()
-	if bc != nil {
-		resolved := map[string]cachedResult{}
-		var pending []pendingEntry
-		for _, d := range bc.order {
-			if cr, ok := s.entryCachedLocked(d); ok {
-				resolved[d] = cr
-			} else {
-				pending = append(pending, pendingEntry{digest: d, req: bc.unique[d]})
-			}
-		}
-		j.batch = &batchState{entries: bc.entries, pending: pending, resolved: resolved}
-	}
-	s.jobs[id] = j
-	return j
 }

@@ -8,8 +8,10 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -272,7 +274,9 @@ func TestReadyzReplaying(t *testing.T) {
 // an earlier batch completed survive replay byte-identically, and the
 // interrupted batch is re-enqueued and completes on the next boot with
 // its cached entry intact. Real execution end to end: the per-entry
-// journaling under test lives inside executeBatch.
+// journaling under test lives inside the job executor, which computed
+// singles share — so the restarted server also pins a single's journal
+// records, engine entry count and topology-fit failure.
 func TestShutdownDuringBatchJournal(t *testing.T) {
 	dir := t.TempDir()
 	sA, tsA, jrA := journalServer(t, dir, Config{Workers: 1}, nil, true)
@@ -360,6 +364,51 @@ func TestShutdownDuringBatchJournal(t *testing.T) {
 	}
 	if string(compactJSON(t, rawSingle)) != string(e1Bytes) {
 		t.Fatalf("entry 1 single-view bytes differ across the hard stop")
+	}
+
+	// A computed single runs the same executor as a one-entry job: one
+	// entry reaches the engine, and its result is journaled once — as
+	// the job's completion, not again as a per-entry record.
+	entries0 := counterValue(t, sB.Registry(), obs.MetricBatchEntries)
+	fresh := goldenRequest(t)
+	fresh.Change = ChangeSpec{ID: "CHG-D3", Elements: otherStudyElements(t), At: "2012-03-16T00:00:00Z", TrueQuality: -1.5}
+	subF, _ := submit(t, tsB, fresh)
+	if st := waitDone(t, tsB, subF.ID); st.Status != stateDone {
+		t.Fatalf("computed single finished %q: %s", st.Status, st.Error)
+	}
+	if got := counterValue(t, sB.Registry(), obs.MetricBatchEntries) - entries0; got != 1 {
+		t.Errorf("computed single sent %d entries to the engine, want 1", got)
+	}
+	// A study element absent from the topology fails the single with the
+	// topology-fit error, journaled as a failed completion.
+	subX, _ := submit(t, tsB, failingRequest(t, 3101))
+	st = waitDone(t, tsB, subX.ID)
+	if st.Status != stateFailed || !strings.HasPrefix(st.Error, "change does not fit the requested topology: ") {
+		t.Fatalf("unfit single finished %q: %q, want failed with the topology-fit error", st.Status, st.Error)
+	}
+	var recs []journal.Record
+	if err := jrB.Replay(func(rec journal.Record) error {
+		if rec.Digest == subF.ID || rec.Digest == subX.ID {
+			recs = append(recs, rec)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		id     string
+		failed bool
+	}{{subF.ID, false}, {subX.ID, true}} {
+		var kinds []string
+		for _, rec := range recs {
+			if rec.Digest == c.id {
+				kinds = append(kinds, fmt.Sprintf("%v/failed=%v", rec.Kind, rec.Failed))
+			}
+		}
+		want := []string{fmt.Sprintf("%v/failed=false", journal.KindSubmit), fmt.Sprintf("%v/failed=%v", journal.KindComplete, c.failed)}
+		if fmt.Sprint(kinds) != fmt.Sprint(want) {
+			t.Errorf("journal records for single %s = %v, want %v", c.id, kinds, want)
+		}
 	}
 }
 

@@ -1,12 +1,11 @@
 package serve
 
-// Tests of the job-execution hardening: per-attempt panic recovery,
-// retry classification, bounded transient retries, and the degraded
+// Tests of the job-execution hardening: per-job panic recovery, a
+// failure that ends the job on its one execution, and the degraded
 // status surface.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -21,7 +20,7 @@ import (
 )
 
 // newHookedServer builds a server whose assessment body is replaced by
-// exec; panic recovery and retry classification still apply. Hooks that
+// exec; panic recovery still applies. Hooks that
 // also inject degradation failures set s.testExecute directly.
 func newHookedServer(t *testing.T, cfg Config, exec func(ctx context.Context, j *job) ([]byte, bool, error)) (*Server, *httptest.Server) {
 	t.Helper()
@@ -43,7 +42,7 @@ func newHookedServer(t *testing.T, cfg Config, exec func(ctx context.Context, j 
 
 // TestJobPanicRecovered: a panicking job must fail with a
 // stack-annotated error — and must not kill its worker, so the next job
-// still runs. Panics are never retried.
+// still runs.
 func TestJobPanicRecovered(t *testing.T) {
 	var calls atomic.Int64
 	s, ts := newHookedServer(t, Config{Workers: 1}, func(context.Context, *job) ([]byte, bool, error) {
@@ -67,9 +66,6 @@ func TestJobPanicRecovered(t *testing.T) {
 	if n := counterValue(t, s.Registry(), obs.MetricJobPanics); n != 1 {
 		t.Errorf("panic counter = %d, want 1", n)
 	}
-	if n := counterValue(t, s.Registry(), obs.MetricJobRetries); n != 0 {
-		t.Errorf("retry counter = %d, want 0 (panics are not retried)", n)
-	}
 
 	// The single worker survived the panic: a second job completes.
 	sub2, _ := submit(t, ts, requestWithSeed(t, 8102))
@@ -78,60 +74,12 @@ func TestJobPanicRecovered(t *testing.T) {
 	}
 }
 
-// TestTransientFailureRetried: attempts that fail with an unclassified
-// error are retried with backoff until one succeeds, within
-// MaxJobAttempts.
-func TestTransientFailureRetried(t *testing.T) {
-	var calls atomic.Int64
-	s, ts := newHookedServer(t, Config{}, func(context.Context, *job) ([]byte, bool, error) {
-		if calls.Add(1) < 3 {
-			return nil, false, errors.New("transient weather")
-		}
-		return []byte(`{}`), false, nil
-	})
-
-	sub, _ := submit(t, ts, requestWithSeed(t, 8201))
-	if st := waitDone(t, ts, sub.ID); st.Status != stateDone {
-		t.Fatalf("job finished %s, want done after retries", st.Status)
-	}
-	if n := calls.Load(); n != 3 {
-		t.Errorf("attempts = %d, want 3", n)
-	}
-	if n := counterValue(t, s.Registry(), obs.MetricJobRetries); n != 2 {
-		t.Errorf("retry counter = %d, want 2", n)
-	}
-}
-
-// TestRetriesExhausted: a persistently failing job stops at
-// MaxJobAttempts and surfaces the last attempt's error.
-func TestRetriesExhausted(t *testing.T) {
-	var calls atomic.Int64
-	s, ts := newHookedServer(t, Config{MaxJobAttempts: 2}, func(context.Context, *job) ([]byte, bool, error) {
-		return nil, false, fmt.Errorf("still broken (attempt %d)", calls.Add(1))
-	})
-
-	sub, _ := submit(t, ts, requestWithSeed(t, 8301))
-	st := waitDone(t, ts, sub.ID)
-	if st.Status != stateFailed {
-		t.Fatalf("job finished %s, want failed", st.Status)
-	}
-	if n := calls.Load(); n != 2 {
-		t.Errorf("attempts = %d, want MaxJobAttempts = 2", n)
-	}
-	if !strings.Contains(st.Error, "attempt 2") {
-		t.Errorf("error %q is not the last attempt's", st.Error)
-	}
-	if n := counterValue(t, s.Registry(), obs.MetricJobRetries); n != 1 {
-		t.Errorf("retry counter = %d, want 1", n)
-	}
-}
-
-// TestDeterministicFailureNotRetried: degradation-typed errors are
-// data-caused and deterministic — retrying cannot help, so the job
-// fails on the first attempt.
+// TestDeterministicFailureNotRetried: a failure ends the job on its one
+// execution — the engine is deterministic, so a rerun could only repeat
+// the same error.
 func TestDeterministicFailureNotRetried(t *testing.T) {
 	var calls atomic.Int64
-	s, ts := newHookedServer(t, Config{}, func(context.Context, *job) ([]byte, bool, error) {
+	_, ts := newHookedServer(t, Config{}, func(context.Context, *job) ([]byte, bool, error) {
 		calls.Add(1)
 		return nil, false, fmt.Errorf("%w: element vanished", litmus.ErrNoData)
 	})
@@ -141,10 +89,7 @@ func TestDeterministicFailureNotRetried(t *testing.T) {
 		t.Fatalf("job finished %s, want failed", st.Status)
 	}
 	if n := calls.Load(); n != 1 {
-		t.Errorf("attempts = %d, want 1 (no retry on deterministic failure)", n)
-	}
-	if n := counterValue(t, s.Registry(), obs.MetricJobRetries); n != 0 {
-		t.Errorf("retry counter = %d, want 0", n)
+		t.Errorf("executions = %d, want 1 (failed jobs are not retried)", n)
 	}
 }
 
@@ -185,64 +130,5 @@ func TestDegradedJobSurfaced(t *testing.T) {
 	}
 	if st := waitDone(t, ts, sub3.ID); !st.Degraded || !st.Cached {
 		t.Errorf("resurrected job: degraded=%v cached=%v, want both true", st.Degraded, st.Cached)
-	}
-}
-
-// TestRetryableClassification pins the failure taxonomy the retry loop
-// dispatches on.
-func TestRetryableClassification(t *testing.T) {
-	cases := []struct {
-		name string
-		err  error
-		want bool
-	}{
-		{"nil-wrapped transient", errors.New("io weather"), true},
-		{"panic", &panicError{val: "boom"}, false},
-		{"permanent build error", &permanentError{err: errors.New("bad world")}, false},
-		{"canceled", context.Canceled, false},
-		{"deadline", fmt.Errorf("assess: %w", context.DeadlineExceeded), false},
-		{"degradation", fmt.Errorf("%w: too few", litmus.ErrInsufficientControls), false},
-		{"rank deficiency", litmus.ErrRankDeficient, false},
-	}
-	for _, c := range cases {
-		if got := retryable(c.err); got != c.want {
-			t.Errorf("retryable(%s) = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-// TestRetryBackoffBounds: exponential growth from 100ms, capped at 5s,
-// jitter below +50%.
-func TestRetryBackoffBounds(t *testing.T) {
-	for attempt := 0; attempt < 12; attempt++ {
-		base := 100 * time.Millisecond
-		for i := 0; i < attempt && base < 5*time.Second; i++ {
-			base *= 2
-		}
-		if base > 5*time.Second {
-			base = 5 * time.Second
-		}
-		for trial := 0; trial < 32; trial++ {
-			d := retryBackoff(attempt)
-			if d < base || d > base+base/2 {
-				t.Fatalf("retryBackoff(%d) = %v outside [%v, %v]", attempt, d, base, base+base/2)
-			}
-		}
-	}
-}
-
-// TestSleepCtx: a canceled context wakes the sleep early.
-func TestSleepCtx(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	start := time.Now()
-	if sleepCtx(ctx, time.Hour) {
-		t.Error("sleepCtx reported a full sleep under a canceled context")
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Errorf("canceled sleep took %v", elapsed)
-	}
-	if !sleepCtx(context.Background(), time.Millisecond) {
-		t.Error("sleepCtx reported early wake on an uncanceled sleep")
 	}
 }

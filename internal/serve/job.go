@@ -21,17 +21,21 @@ const (
 	stateFailed  = "failed"
 )
 
-// job is one submitted assessment: the compiled request plus its
+// job is one submitted assessment: the compiled submission plus its
 // lifecycle state.
 type job struct {
-	id  string
-	req *compiledRequest
-
-	// batch is non-nil for changelog jobs (POST /v1/assess/batch): the
-	// per-entry identities, the unique uncached entries to compute, and
-	// the results resolved from the cache at submit time. Batch jobs
-	// carry a nil req.
-	batch *batchState
+	id string
+	// single marks a POST /v1/assess job: its result is its one entry's
+	// bytes, and its entry's error is the job's.
+	single bool
+	// entries is the submitted changelog in order — a single is a
+	// changelog of one; nil for jobs resurrected by journal replay.
+	// pending holds the unique entries still to compute (released once
+	// the job finishes) and resolved the entries answered from the cache
+	// when the job was queued.
+	entries  []batchDocEntry
+	pending  []compiledEntry
+	resolved map[string]cachedResult
 
 	state     string
 	cached    bool // answered from the result cache, no computation
@@ -46,29 +50,30 @@ type job struct {
 	// submitter's traceparent header or generated at submit time, echoed
 	// on every response that names the job.
 	traceID string
-	// attempts/retries count the last run's executions and backoff
-	// retries; spans holds each attempt's trace root (newest last) and
-	// failures the isolated degradations of the attempt that concluded
-	// the job — the substance of GET /v1/jobs/{id}/trace.
-	attempts int
-	retries  int
-	spans    []*obs.Span
+	// span is the last run's trace root and failures the isolated
+	// degradations of its result — the substance of
+	// GET /v1/jobs/{id}/trace.
+	span     *obs.Span
 	failures []litmus.AssessmentFailureDoc
 
 	// finishedElem is this job's node in the server's finished order,
 	// nil while the job has never finished or is back in flight after a
-	// retry. Tracking the element keeps the order duplicate-free, so
+	// resubmit. Tracking the element keeps the order duplicate-free, so
 	// retention evicts by true completion recency.
 	finishedElem *list.Element
 
 	// done is closed when the job reaches a terminal state (done or
 	// failed) — the in-process wait hook used by drains and tests. A
-	// failed job that is resubmitted gets a fresh channel for the retry.
+	// failed job that is resubmitted gets a fresh channel for the rerun.
 	done chan struct{}
 }
 
-func newJob(id string, req *compiledRequest, now time.Time) *job {
-	return &job{id: id, req: req, state: stateQueued, submitted: now, done: make(chan struct{})}
+func newJob(id string, sub *submission, now time.Time) *job {
+	j := &job{id: id, state: stateQueued, submitted: now, done: make(chan struct{})}
+	if sub != nil {
+		j.single, j.entries = sub.single, sub.entries
+	}
+	return j
 }
 
 // status renders the job's API view. Callers hold the server mutex.

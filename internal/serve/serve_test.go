@@ -708,10 +708,28 @@ func TestFailedJobRetryCompletes(t *testing.T) {
 	if finished != 1 {
 		t.Errorf("finished order holds %d entries after a retry, want 1", finished)
 	}
+
+	// Once the entry's result is cached (as a batch computing the same
+	// change would leave it), a rerun resolves the entry from the cache
+	// and serves those bytes without computing.
+	s.mu.Lock()
+	s.cache.put(sub.ID, cachedResult{result: []byte(`{"cached":"entry"}`)})
+	s.mu.Unlock()
+	entries0 := counterValue(t, s.Registry(), obs.MetricBatchEntries)
+	submit(t, ts, req)
+	if st := waitDone(t, ts, sub.ID); st.Status != stateDone {
+		t.Fatalf("rerun over a cached entry finished %s (%s), want done", st.Status, st.Error)
+	}
+	if body, _ := fetchResult(t, ts, sub.ID); string(body) != `{"cached":"entry"}` {
+		t.Errorf("rerun over a cached entry served %s, want the cached bytes", body)
+	}
+	if got := counterValue(t, s.Registry(), obs.MetricBatchEntries) - entries0; got != 0 {
+		t.Errorf("rerun over a cached entry computed %d entries, want 0", got)
+	}
 }
 
 // TestFailedJobRetryQueueFull: a failed-job resubmit shed by the full
-// queue must leave the record failed — still retryable — rather than
+// queue must leave the record failed — still resubmittable — rather than
 // wedged in a phantom "queued" state that never runs and dedups every
 // future identical submit onto it.
 func TestFailedJobRetryQueueFull(t *testing.T) {

@@ -38,16 +38,11 @@ type Config struct {
 	// results may still live in the cache).
 	JobRetention int
 	// JobTimeout is the per-job execution deadline (default 5m). The
-	// deadline propagates through AssessChangeContext, so a stuck job
+	// deadline propagates through Pipeline.AssessBatch, so a stuck job
 	// stops between sampling iterations.
 	JobTimeout time.Duration
 	// RetryAfter is the backoff hint returned with 429 (default 1s).
 	RetryAfter time.Duration
-	// MaxJobAttempts bounds how many times one job is executed when its
-	// attempts keep failing transiently (default 3; 1 disables retries).
-	// Deterministic failures — panics, request-build errors, data-caused
-	// degradations, context expiry — are never retried.
-	MaxJobAttempts int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
 	// Journal, when non-nil, makes jobs durable: every submission and
@@ -85,9 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter == 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.MaxJobAttempts < 1 {
-		c.MaxJobAttempts = 3
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
@@ -127,8 +119,8 @@ type Server struct {
 	// id on it and then blocks on testRelease before executing — tests
 	// use this to hold workers and fill the queue deterministically.
 	// When testExecute is non-nil it replaces the assessment body of
-	// executeJob (panic recovery and retry classification still apply) —
-	// tests use it to inject panics and transient failures.
+	// executeJob (panic recovery still applies) — tests use it to inject
+	// panics, failures and degradations.
 	// Set between newServer and start only.
 	testStarted chan string
 	testRelease chan struct{}
@@ -276,12 +268,76 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	compiled, err := compile(&req)
+	sub, err := compileSingle(&req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
 		return
 	}
-	id := compiled.hash()
+	s.submit(w, r, sub, func(status string, cached bool, _ map[string]cachedResult) any {
+		return SubmitResponse{ID: sub.id, Status: status, Cached: cached}
+	})
+}
+
+// submission is one validated submit body of either endpoint: the job
+// id, the changelog it assesses in submission order — a single
+// submission is a changelog of one entry whose digest is the job id —
+// and the journal record that makes the submission durable.
+type submission struct {
+	id      string
+	single  bool
+	entries []batchDocEntry // submission order
+	unique  []compiledEntry // distinct valid entries, first-seen order
+	record  journal.Record  // the submit record
+}
+
+// compileSingle validates a single submission as a one-entry changelog.
+// The journal payload is the canonical request, which compiles back to
+// the same job id on replay.
+func compileSingle(req *AssessRequest) (*submission, error) {
+	c, err := compile(req)
+	if err != nil {
+		return nil, err
+	}
+	payload := c.canonicalJSON()
+	id := canonicalID(payload)
+	return &submission{
+		id:      id,
+		single:  true,
+		entries: []batchDocEntry{{digest: id, changeID: c.norm.Change.ID}},
+		unique:  []compiledEntry{{digest: id, req: c}},
+		record:  journal.Record{Kind: journal.KindSubmit, Digest: id, Payload: payload},
+	}, nil
+}
+
+// resolveLocked splits sub's unique entries into those answered by
+// finished jobs or the result cache and those still to compute. Callers
+// hold the server mutex: the resolution describes this moment, and a
+// queued job carries the resolved bytes so eviction cannot outrun it.
+func (s *Server) resolveLocked(sub *submission) (map[string]cachedResult, []compiledEntry) {
+	resolved := map[string]cachedResult{}
+	var pending []compiledEntry
+	for _, e := range sub.unique {
+		if j, ok := s.jobs[e.digest]; ok && j.state == stateDone {
+			resolved[e.digest] = cachedResult{result: j.result, degraded: j.degraded}
+		} else if cr, ok := s.cache.get(e.digest); ok {
+			resolved[e.digest] = cr
+		} else {
+			pending = append(pending, e)
+		}
+	}
+	return resolved, pending
+}
+
+// submit is the submission state machine both submit endpoints share. A
+// done or in-flight job with the same id answers the submission (a
+// cache hit, or dedup onto the running work); a failed one is rerun; a
+// result still cached after its job record aged out is resurrected as a
+// done job; anything else enqueues a fresh job. render builds the
+// endpoint's response body from the job status at submit time, whether
+// the answer came from existing work, and the submit-time entry
+// resolution.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, sub *submission, render func(status string, cached bool, resolved map[string]cachedResult) any) {
+	id := sub.id
 	now := time.Now()
 	// Trace identity: adopt the caller's traceparent, or mint one. Jobs
 	// that already exist keep the trace of the submission that caused
@@ -293,109 +349,99 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.mu.Lock()
-	if j, ok := s.jobs[id]; ok {
-		switch j.state {
-		case stateDone:
-			// Same canonical request, result already computed: pure cache
-			// hit, the result bytes are identical by the determinism
-			// contract.
+	resolved, pending := s.resolveLocked(sub)
+	j := s.jobs[id]
+	if j != nil && j.state != stateFailed {
+		// Same canonical submission, already done or in flight: the
+		// result bytes are identical by the determinism contract, so
+		// answer from the existing job instead of queueing duplicate work.
+		status, jobTrace, code := j.state, j.traceID, http.StatusAccepted
+		if status == stateDone {
 			s.cache.get(id) // refresh recency
-			resp := SubmitResponse{ID: id, Status: stateDone, Cached: true}
-			jobTrace := j.traceID
-			s.mu.Unlock()
-			s.reg.Counter(obs.MetricCacheHits).Add(1)
-			annotate(w, id, jobTrace)
-			setTraceparent(w, jobTrace)
-			writeJSON(w, http.StatusOK, resp)
-			return
-		case stateQueued, stateRunning:
-			// Identical request already in flight: deduplicate onto it
-			// instead of queueing duplicate work.
-			resp := SubmitResponse{ID: id, Status: j.state, Cached: true}
-			jobTrace := j.traceID
-			s.mu.Unlock()
-			s.reg.Counter(obs.MetricCacheHits).Add(1)
-			annotate(w, id, jobTrace)
-			setTraceparent(w, jobTrace)
-			writeJSON(w, http.StatusAccepted, resp)
-			return
-		case stateFailed:
-			// Failed jobs are retried on resubmit (the failure may have
-			// been a timeout or a drain-time cancellation). The record is
-			// reset for the new run only once the enqueue succeeds: a
-			// fresh done channel (the old one is closed), cleared
-			// lifecycle fields, and removal from the finished order so
-			// retention cannot evict the job while it is back in flight.
-			// On the 429 path the job is left failed and retryable.
-			if ok, resp := s.enqueueLocked(w, j, now); ok {
-				j.done = make(chan struct{})
-				j.started = time.Time{}
-				j.finished = time.Time{}
-				j.result = nil
-				j.degraded = false
-				// The retry is new work: it belongs to the resubmitter's
-				// trace, and the previous run's trace state is stale.
-				j.traceID = traceID
-				j.attempts, j.retries = 0, 0
-				j.spans, j.failures = nil, nil
-				if j.finishedElem != nil {
-					s.finished.Remove(j.finishedElem)
-					j.finishedElem = nil
-				}
-				s.journalSubmitLocked(id, j.req)
-				s.mu.Unlock()
-				annotate(w, id, traceID)
-				setTraceparent(w, traceID)
-				writeJSON(w, http.StatusAccepted, resp)
-			}
-			return
+			code = http.StatusOK
 		}
-	}
-	if hit, ok := s.cache.get(id); ok {
-		// The job record aged out but the result is still cached:
-		// resurrect a done job around the cached bytes.
-		j := newJob(id, compiled, now)
-		j.state = stateDone
-		j.cached = true
-		j.degraded = hit.degraded
-		j.finished = now
-		j.result = hit.result
-		j.traceID = traceID
-		close(j.done)
-		s.jobs[id] = j
-		s.recordFinishedLocked(j)
 		s.mu.Unlock()
 		s.reg.Counter(obs.MetricCacheHits).Add(1)
-		annotate(w, id, traceID)
-		setTraceparent(w, traceID)
-		writeJSON(w, http.StatusOK, SubmitResponse{ID: id, Status: stateDone, Cached: true})
+		respond(w, code, id, jobTrace, render(status, true, resolved))
 		return
 	}
-	j := newJob(id, compiled, now)
-	j.traceID = traceID
-	if ok, resp := s.enqueueLocked(w, j, now); ok {
+	if j == nil {
+		if hit, ok := s.cache.get(id); ok {
+			// The job record aged out but the result is still cached:
+			// resurrect a done job around the cached bytes.
+			j = newJob(id, sub, now)
+			j.resolved = resolved
+			j.state = stateDone
+			j.cached = true
+			j.degraded = hit.degraded
+			j.finished = now
+			j.result = hit.result
+			j.traceID = traceID
+			close(j.done)
+			s.jobs[id] = j
+			s.recordFinishedLocked(j)
+			s.mu.Unlock()
+			s.reg.Counter(obs.MetricCacheHits).Add(1)
+			respond(w, http.StatusOK, id, traceID, render(stateDone, true, resolved))
+			return
+		}
+		j = newJob(id, sub, now)
+		if !s.enqueueLocked(w, j, now) {
+			return
+		}
 		s.jobs[id] = j
-		s.journalSubmitLocked(id, compiled)
-		s.mu.Unlock()
-		s.reg.Counter(obs.MetricCacheMisses).Add(1)
-		annotate(w, id, traceID)
-		setTraceparent(w, traceID)
-		writeJSON(w, http.StatusAccepted, resp)
+		s.reg.Counter(obs.MetricCacheHits).Add(int64(len(resolved)))
+		s.reg.Counter(obs.MetricCacheMisses).Add(int64(len(pending)))
+	} else {
+		// A failed job reruns on resubmit (the failure may have been a
+		// timeout or a drain-time cancellation). The record is reset only
+		// once the enqueue succeeds: a fresh done channel (the old one is
+		// closed), cleared lifecycle fields, and removal from the finished
+		// order so retention cannot evict the job while it is back in
+		// flight. On the 429 path the job is left failed and resubmittable.
+		if !s.enqueueLocked(w, j, now) {
+			return
+		}
+		j.done = make(chan struct{})
+		j.started = time.Time{}
+		j.finished = time.Time{}
+		j.result = nil
+		j.degraded = false
+		j.span, j.failures = nil, nil
+		if j.finishedElem != nil {
+			s.finished.Remove(j.finishedElem)
+			j.finishedElem = nil
+		}
 	}
+	// The run belongs to this submitter's trace, and carries this
+	// submission's entry resolution — the cache may have filled since a
+	// failed run.
+	j.traceID = traceID
+	j.pending, j.resolved = pending, resolved
+	s.journalAppendLocked(sub.record)
+	s.mu.Unlock()
+	respond(w, http.StatusAccepted, id, traceID, render(stateQueued, false, resolved))
+}
+
+// respond writes a submit response naming job id under traceID.
+func respond(w http.ResponseWriter, code int, id, traceID string, body any) {
+	annotate(w, id, traceID)
+	setTraceparent(w, traceID)
+	writeJSON(w, code, body)
 }
 
 // enqueueLocked pushes j onto the bounded queue, mutating the job only
 // once the send succeeds — a rejected job keeps its previous state, so
-// a failed job stays retryable instead of being wedged as "queued". It
-// is called with the server mutex held; on the backpressure and
+// a failed job stays resubmittable instead of being wedged as "queued".
+// It is called with the server mutex held; on the backpressure and
 // draining paths it writes the error response itself (releasing the
-// mutex first) and returns ok=false. A worker may receive j as soon as
-// the send succeeds, but cannot touch it until the mutex is released.
-func (s *Server) enqueueLocked(w http.ResponseWriter, j *job, now time.Time) (bool, SubmitResponse) {
+// mutex first) and returns false. A worker may receive j as soon as the
+// send succeeds, but cannot touch it until the mutex is released.
+func (s *Server) enqueueLocked(w http.ResponseWriter, j *job, now time.Time) bool {
 	if s.draining {
 		s.mu.Unlock()
 		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
-		return false, SubmitResponse{}
+		return false
 	}
 	select {
 	case s.queue <- j:
@@ -403,7 +449,7 @@ func (s *Server) enqueueLocked(w http.ResponseWriter, j *job, now time.Time) (bo
 		j.submitted = now
 		j.err = ""
 		s.reg.Gauge(obs.MetricQueueDepth).Set(float64(len(s.queue)))
-		return true, SubmitResponse{ID: j.id, Status: stateQueued}
+		return true
 	default:
 		s.mu.Unlock()
 		s.reg.Counter(obs.MetricQueueRejected).Add(1)
@@ -413,7 +459,7 @@ func (s *Server) enqueueLocked(w http.ResponseWriter, j *job, now time.Time) (bo
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
 		writeError(w, http.StatusTooManyRequests, "submission queue full (%d jobs); retry after %ds", s.cfg.QueueDepth, retry)
-		return false, SubmitResponse{}
+		return false
 	}
 }
 
@@ -421,7 +467,7 @@ func (s *Server) enqueueLocked(w http.ResponseWriter, j *job, now time.Time) (bo
 // of the finished order (appending on first finish) and forgets the
 // oldest finished jobs beyond the retention bound. Element tracking
 // keeps each job in the order at most once, so re-finishes (cache
-// resurrection, failed-job retries) refresh recency instead of
+// resurrection, failed-job reruns) refresh recency instead of
 // duplicating entries.
 func (s *Server) recordFinishedLocked(j *job) {
 	if j.finishedElem != nil {
@@ -547,29 +593,7 @@ func (s *Server) runJob(j *job) {
 		<-s.testRelease
 	}
 
-	// Attempt loop: panics are recovered per attempt, deterministic
-	// failures terminate immediately, transient failures earn bounded
-	// retries with exponential backoff (see retry.go). Every attempt's
-	// span tree is retained on the job for the trace endpoint.
-	var ar attemptResult
-	var err error
-	var attempts, retries int
-	var spans []*obs.Span
-	for attempt := 0; ; attempt++ {
-		ar, err = s.executeJob(ctx, j)
-		attempts++
-		if ar.span != nil {
-			spans = append(spans, ar.span)
-		}
-		if err == nil || !retryable(err) || attempt+1 >= s.cfg.MaxJobAttempts {
-			break
-		}
-		retries++
-		s.reg.Counter(obs.MetricJobRetries).Add(1)
-		if !sleepCtx(ctx, retryBackoff(attempt)) {
-			break // deadline or shutdown; report the attempt's error
-		}
-	}
+	jr, err := s.executeJob(ctx, j)
 
 	statusLabel := stateDone
 	switch {
@@ -578,16 +602,15 @@ func (s *Server) runJob(j *job) {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			statusLabel = "canceled"
 		}
-	case ar.degraded:
+	case jr.degraded:
 		statusLabel = "degraded"
 	}
 
 	s.mu.Lock()
 	j.finished = time.Now()
-	j.attempts = attempts
-	j.retries = retries
-	j.spans = spans
-	j.failures = ar.failures
+	j.pending = nil // the work is done; its compiled requests can go
+	j.span = jr.span
+	j.failures = jr.failures
 	// Journal the terminal state before it becomes client-visible: a
 	// crash after the state flips but before the append could otherwise
 	// lose a result a client already saw. Cancellations keep the digest
@@ -603,17 +626,17 @@ func (s *Server) runJob(j *job) {
 		j.state = stateFailed
 		j.err = err.Error()
 	} else {
-		s.journalAppendLocked(journal.Record{Kind: journal.KindComplete, Digest: j.id, Degraded: ar.degraded, Payload: ar.result})
+		s.journalAppendLocked(journal.Record{Kind: journal.KindComplete, Digest: j.id, Degraded: jr.degraded, Payload: jr.result})
 		j.state = stateDone
-		j.degraded = ar.degraded
-		j.result = ar.result
-		s.cache.put(j.id, cachedResult{result: ar.result, degraded: ar.degraded})
+		j.degraded = jr.degraded
+		j.result = jr.result
+		s.cache.put(j.id, cachedResult{result: jr.result, degraded: jr.degraded})
 	}
 	s.recordFinishedLocked(j)
 	latency := j.finished.Sub(j.submitted)
 	run := j.finished.Sub(j.started)
 	// Close under the mutex so the close pairs with the done channel
-	// this run owned — a concurrent retry resubmit swaps in a fresh
+	// this run owned — a resubmit of a failed job swaps in a fresh
 	// channel only between terminal states, never mid-run.
 	close(j.done)
 	s.mu.Unlock()
@@ -628,8 +651,6 @@ func (s *Server) runJob(j *job) {
 			"job", j.id,
 			"traceId", traceID,
 			"status", statusLabel,
-			"attempts", attempts,
-			"retries", retries,
 			"queueSeconds", queueWait.Seconds(),
 			"runSeconds", run.Seconds(),
 		}

@@ -2,9 +2,8 @@ package serve
 
 // Request-scoped tracing: every job carries a W3C trace identity from
 // submission to terminal state, and GET /v1/jobs/{id}/trace replays the
-// job's execution — queue wait vs run duration, attempt and retry
-// counts, the degradations of a partial result, and the full span tree
-// of every attempt.
+// job's execution — queue wait vs run duration, the degradations of a
+// partial result, and the execution's full span tree.
 //
 // Trace propagation contract:
 //
@@ -111,47 +110,36 @@ func setTraceparent(w http.ResponseWriter, traceID string) {
 	}
 }
 
-// TraceAttempt is one execution attempt in a job trace: its ordinal
-// (1-based) and the attempt's span tree in the obs trace-JSON schema
-// (name, start, durationMs, attrs, children).
-type TraceAttempt struct {
-	Attempt int             `json:"attempt"`
-	Span    json.RawMessage `json:"span"`
-}
-
 // JobTrace is the GET /v1/jobs/{id}/trace response body: the job's
-// trace identity and lifecycle timings, the attempt/retry history, the
-// degradations of a partial result, and the per-attempt span trees.
+// trace identity and lifecycle timings, the degradations of a partial
+// result, and the execution's span tree.
 type JobTrace struct {
-	ID       string `json:"id"`
-	TraceID  string `json:"traceId"`
-	Status   string `json:"status"`
-	Cached   bool   `json:"cached,omitempty"`
-	Degraded bool   `json:"degraded,omitempty"`
-	// Attempts and Retries describe the last run: how many times the
-	// job body executed and how many of those executions were backoff
-	// retries after transient failures.
-	Attempts    int        `json:"attempts"`
-	Retries     int        `json:"retries"`
+	ID          string     `json:"id"`
+	TraceID     string     `json:"traceId"`
+	Status      string     `json:"status"`
+	Cached      bool       `json:"cached,omitempty"`
+	Degraded    bool       `json:"degraded,omitempty"`
 	SubmittedAt time.Time  `json:"submittedAt"`
 	StartedAt   *time.Time `json:"startedAt,omitempty"`
 	FinishedAt  *time.Time `json:"finishedAt,omitempty"`
 	// QueueSeconds is submission→dequeue wait; RunSeconds is
-	// dequeue→terminal-state execution time (retries included). Each is
-	// present once the respective boundary has been crossed.
+	// dequeue→terminal-state execution time. Each is present once the
+	// respective boundary has been crossed.
 	QueueSeconds *float64 `json:"queueSeconds,omitempty"`
 	RunSeconds   *float64 `json:"runSeconds,omitempty"`
 	Error        string   `json:"error,omitempty"`
 	// Degradations lists the isolated per-KPI/per-element failures of a
 	// degraded assessment, in the result document's order.
 	Degradations []litmus.AssessmentFailureDoc `json:"degradations,omitempty"`
-	// Spans holds one entry per execution attempt, oldest first.
-	Spans []TraceAttempt `json:"spans,omitempty"`
+	// Span is the execution's span tree in the obs trace-JSON schema
+	// (name, start, durationMs, attrs, children); absent until the job
+	// has run.
+	Span json.RawMessage `json:"span,omitempty"`
 	// Entries is present for batch jobs: the submitted changelog in
 	// order, each entry's canonical digest and submit-time disposition.
-	// The per-entry queue-wait and run detail lives in the attempt span
-	// trees above as "batch-entry" children of the assess-batch span —
-	// cached entries never enter the engine, so they have no span.
+	// The per-entry run detail lives in the span tree above as
+	// "batch-entry" children of the assess-batch span — cached entries
+	// never enter the engine, so they have no span.
 	Entries []BatchTraceEntry `json:"entries,omitempty"`
 }
 
@@ -161,7 +149,7 @@ type BatchTraceEntry struct {
 	ID       string `json:"id,omitempty"`
 	ChangeID string `json:"changeId,omitempty"`
 	// Cached marks entries resolved from the result cache at submit
-	// time — they carry no engine span in the attempt trees.
+	// time — they carry no engine span in the span tree.
 	Cached bool `json:"cached,omitempty"`
 	// Error is the entry's compile-time validation error.
 	Error string `json:"error,omitempty"`
@@ -172,7 +160,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	var tr JobTrace
-	var spans []*obs.Span
+	var span *obs.Span
 	if ok {
 		tr = JobTrace{
 			ID:          j.id,
@@ -180,8 +168,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			Status:      j.state,
 			Cached:      j.cached,
 			Degraded:    j.degraded,
-			Attempts:    j.attempts,
-			Retries:     j.retries,
 			SubmittedAt: j.submitted,
 			Error:       j.err,
 		}
@@ -198,10 +184,10 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			tr.RunSeconds = &d
 		}
 		tr.Degradations = append(tr.Degradations, j.failures...)
-		spans = append(spans, j.spans...)
-		if j.batch != nil {
-			for _, e := range j.batch.entries {
-				_, cached := j.batch.resolved[e.digest]
+		span = j.span
+		if !j.single {
+			for _, e := range j.entries {
+				_, cached := j.resolved[e.digest]
 				tr.Entries = append(tr.Entries, BatchTraceEntry{
 					ID:       e.digest,
 					ChangeID: e.changeID,
@@ -217,15 +203,14 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Span rendering happens outside the server mutex: spans guard
-	// themselves, and a still-running attempt renders its in-flight
-	// subtree.
-	for i, sp := range spans {
+	// themselves, and a still-running job renders its in-flight subtree.
+	if span != nil {
 		var buf bytes.Buffer
-		if err := sp.WriteJSON(&buf); err != nil {
+		if err := span.WriteJSON(&buf); err != nil {
 			writeError(w, http.StatusInternalServerError, "rendering span tree: %v", err)
 			return
 		}
-		tr.Spans = append(tr.Spans, TraceAttempt{Attempt: i + 1, Span: bytes.TrimRight(buf.Bytes(), "\n")})
+		tr.Span = bytes.TrimRight(buf.Bytes(), "\n")
 	}
 	setTraceparent(w, tr.TraceID)
 	writeJSON(w, http.StatusOK, tr)
