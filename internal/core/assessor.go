@@ -157,8 +157,8 @@ type Assessor struct {
 	// obs is the optional observability scope; nil (the default) is the
 	// zero-overhead fast path. See WithObserver.
 	obs *obs.Scope
-	// rt carries the scratch-arena pool and the deterministic sample
-	// cache (see scratch.go); shared by WithObserver-derived assessors.
+	// rt carries the scratch-arena pool (see scratch.go); shared by
+	// WithObserver-derived assessors.
 	rt *runtimeState
 }
 

@@ -1,15 +1,18 @@
 package core
 
 // Tests for the zero-allocation kernel plumbing: the permutation-buffer
-// contract, the scratch-arena allocation budget, the cross-element
-// factorization sharing of AssessGroup, and the small boundary cases
-// (empty autocorrelation windows, sample-size cap) the hot-path rewrite
-// leans on.
+// contract, the process-wide sample table and its bound, the
+// scratch-arena allocation budget, the cross-element factorization
+// sharing of AssessGroup, and the small boundary cases (empty
+// autocorrelation windows, sample-size cap) the hot-path rewrite leans
+// on.
 
 import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -58,10 +61,88 @@ func TestSamplesForMatchesSampleColumns(t *testing.T) {
 			}
 		}
 	}
-	// Second call must hand back the identical cached slices.
-	again := a.samplesFor(n, k)
-	if &again[0][0] != &samples[0][0] {
-		t.Error("samplesFor recomputed instead of returning the cache")
+}
+
+// replaySamples recomputes a sample sequence straight from the RNG
+// contract, bypassing the sample table.
+func replaySamples(seed int64, iterations, n, k int) [][]int {
+	out := make([][]int, iterations)
+	perm := make([]int, n)
+	for it := range out {
+		permInto(iterRNG(seed, it), perm)
+		out[it] = append([]int(nil), perm[:k]...)
+		sort.Ints(out[it])
+	}
+	return out
+}
+
+// TestSampleTableSharedAcrossAssessors pins the process-wide table: two
+// independently constructed assessors with equal (Seed, Iterations)
+// read the same backing slices.
+func TestSampleTableSharedAcrossAssessors(t *testing.T) {
+	n, k := 17, 9
+	a := MustNewAssessor(Config{Seed: 4242, Iterations: 30})
+	b := MustNewAssessor(Config{Seed: 4242, Iterations: 30})
+	sa, sb := a.samplesFor(n, k), b.samplesFor(n, k)
+	if &sa[0][0] != &sb[0][0] {
+		t.Error("equal (Seed, Iterations) assessors computed separate sample tables")
+	}
+	if !reflect.DeepEqual(sa, replaySamples(4242, 30, n, k)) {
+		t.Error("shared samples differ from the RNG contract's draws")
+	}
+}
+
+// TestSampleTableKeyedBySeedAndIterations checks that a different Seed
+// or Iterations gets its own entry, each the exact replayed draws.
+func TestSampleTableKeyedBySeedAndIterations(t *testing.T) {
+	n, k := 17, 9
+	base := MustNewAssessor(Config{Seed: 4343, Iterations: 30}).samplesFor(n, k)
+	for _, cfg := range []Config{{Seed: 4344, Iterations: 30}, {Seed: 4343, Iterations: 31}} {
+		got := MustNewAssessor(cfg).samplesFor(n, k)
+		if &got[0][0] == &base[0][0] {
+			t.Errorf("%+v shares the (4343, 30) entry", cfg)
+		}
+		if !reflect.DeepEqual(got, replaySamples(cfg.Seed, cfg.Iterations, n, k)) {
+			t.Errorf("%+v: samples differ from the RNG contract's draws", cfg)
+		}
+	}
+}
+
+// TestSampleTableBound checks that a shape larger than the table's
+// bound is computed uncached, with the same draws.
+func TestSampleTableBound(t *testing.T) {
+	iters, n, k := 1100, 1024, 1000
+	if iters*k <= maxSampleInts {
+		t.Fatalf("shape of %d ints fits the %d-int bound", iters*k, maxSampleInts)
+	}
+	a := MustNewAssessor(Config{Seed: 4545, Iterations: iters})
+	first, second := a.samplesFor(n, k), a.samplesFor(n, k)
+	if &first[0][0] == &second[0][0] {
+		t.Error("an oversized shape was cached")
+	}
+	sampleTable.Lock()
+	_, cached := sampleTable.shapes[sampleKey{4545, iters, n, k}]
+	sampleTable.Unlock()
+	if cached {
+		t.Error("an oversized shape entered the sample table")
+	}
+	if !reflect.DeepEqual(first, replaySamples(4545, iters, n, k)) {
+		t.Error("uncached samples differ from the RNG contract's draws")
+	}
+
+	// Two shapes of 600k ints cannot both fit: caching the second evicts.
+	a1 := MustNewAssessor(Config{Seed: 4646, Iterations: 600})
+	a2 := MustNewAssessor(Config{Seed: 4747, Iterations: 600})
+	a1.samplesFor(n, k)
+	s2 := a2.samplesFor(n, k)
+	sampleTable.Lock()
+	held, s2Cached := sampleTable.ints, sampleTable.shapes[sampleKey{4747, 600, n, k}]
+	sampleTable.Unlock()
+	if held > maxSampleInts {
+		t.Errorf("sample table holds %d ints, bound %d", held, maxSampleInts)
+	}
+	if s2Cached == nil || &s2Cached[0][0] != &s2[0][0] {
+		t.Error("the newest shape was not cached after eviction")
 	}
 }
 

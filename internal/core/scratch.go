@@ -11,12 +11,11 @@ package core
 //     worker index, so scratch reuse needs no locking; arenas are pooled
 //     on the assessor so repeated assessments do not even pay the arena
 //     construction.
-//   - a deterministic sample cache: the control columns iteration it
-//     draws depend only on (Seed, it, n, k) — never on the element — so
-//     the per-iteration column sets are computed once per panel shape and
-//     shared read-only across every element, KPI, and repeated call. This
-//     also hoists the rand.NewSource seeding (~16% of the pre-arena
-//     profile) out of the hot loop entirely.
+//   - a process-wide deterministic sample table: the control columns
+//     iteration it draws depend only on (Seed, it, n, k) — never on the
+//     element — so they are computed once per (Seed, Iterations, n, k)
+//     and shared read-only across every element, KPI, assessor and
+//     request, which hoists the rand.NewSource seeding out of the hot loop.
 //
 // Nothing here may perturb the (Seed, iteration) RNG-derivation contract
 // of parallel.go: cached samples are the exact draws the contract
@@ -51,53 +50,46 @@ func growFloats(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// sampleKey identifies a control-panel shape: the samples for iteration
-// it depend only on (Seed, it, n, k), which is what makes them shareable.
-type sampleKey struct{ n, k int }
-
-// maxSampleShapes bounds the sample cache; production pipelines see a
-// handful of panel shapes (one per control-group size), so the bound only
-// guards pathological callers. Beyond it, samples are computed uncached.
-const maxSampleShapes = 64
-
-// runtimeState is the mutable, concurrency-safe machinery an Assessor
-// carries alongside its immutable Config: the scratch-arena pool and the
-// deterministic sample cache. WithObserver shares it between derived
-// assessors — it is purely a performance artifact and never observable in
-// assessment output.
-type runtimeState struct {
-	scratch sync.Pool // *elemScratch
-
-	mu      sync.Mutex
-	samples map[sampleKey][][]int
+// sampleKey identifies one sample sequence: iteration it draws depend
+// only on (Seed, it, n, k), which is what makes them shareable.
+type sampleKey struct {
+	seed             int64
+	iterations, n, k int
 }
+
+// maxSampleInts bounds the sample table by the column indexes it holds
+// (8 MiB of ints). A shape larger than the bound is computed uncached;
+// inserting past it evicts arbitrary cached shapes.
+const maxSampleInts = 1 << 20
+
+// sampleTable is the process-wide sample cache. Its slices are read-only.
+var sampleTable = struct {
+	sync.Mutex
+	shapes map[sampleKey][][]int
+	ints   int // total column indexes held
+}{shapes: make(map[sampleKey][][]int)}
+
+// runtimeState is the scratch-arena pool an Assessor carries alongside
+// its immutable Config. WithObserver shares it between derived
+// assessors — it is purely a performance artifact and never observable
+// in assessment output.
+type runtimeState struct{ scratch sync.Pool } // of *elemScratch
 
 func newRuntimeState() *runtimeState {
-	rt := &runtimeState{samples: make(map[sampleKey][][]int)}
-	rt.scratch.New = func() any { return &elemScratch{} }
-	return rt
+	return &runtimeState{scratch: sync.Pool{New: func() any { return &elemScratch{} }}}
 }
-
-func (rt *runtimeState) getScratch() *elemScratch  { return rt.scratch.Get().(*elemScratch) }
-func (rt *runtimeState) putScratch(s *elemScratch) { rt.scratch.Put(s) }
 
 // workerScratches is the per-call set of lazily acquired worker arenas.
 type workerScratches []*elemScratch
 
 func newWorkerScratches(workers, n int) workerScratches {
-	if workers <= 1 || n <= 1 {
-		return make(workerScratches, 1)
-	}
-	if workers > n {
-		workers = n
-	}
-	return make(workerScratches, workers)
+	return make(workerScratches, max(1, min(workers, n)))
 }
 
 // get returns worker w's scratch, acquiring it from the pool on first use.
 func (ws workerScratches) get(rt *runtimeState, w int) *elemScratch {
 	if ws[w] == nil {
-		ws[w] = rt.getScratch()
+		ws[w] = rt.scratch.Get().(*elemScratch)
 	}
 	return ws[w]
 }
@@ -106,7 +98,7 @@ func (ws workerScratches) get(rt *runtimeState, w int) *elemScratch {
 func (ws workerScratches) release(rt *runtimeState) {
 	for _, s := range ws {
 		if s != nil {
-			rt.putScratch(s)
+			rt.scratch.Put(s)
 		}
 	}
 }
@@ -114,19 +106,18 @@ func (ws workerScratches) release(rt *runtimeState) {
 // samplesFor returns the sorted control-column sample for every sampling
 // iteration on an n-column panel with sample size k. The result is the
 // exact sequence sampleColumns(iterRNG(Seed, it), n, k) would produce —
-// the determinism contract — computed once per (n, k) shape and cached
-// read-only. Callers must not mutate the returned slices.
+// the determinism contract — computed once per process per sampleKey
+// and shared read-only. Callers must not mutate the returned slices.
 func (a *Assessor) samplesFor(n, k int) [][]int {
-	rt := a.rt
-	key := sampleKey{n, k}
-	rt.mu.Lock()
-	if s, ok := rt.samples[key]; ok {
-		rt.mu.Unlock()
+	key := sampleKey{a.cfg.Seed, a.cfg.Iterations, n, k}
+	sampleTable.Lock()
+	s, ok := sampleTable.shapes[key]
+	sampleTable.Unlock()
+	if ok {
 		return s
 	}
-	rt.mu.Unlock()
 
-	s := make([][]int, a.cfg.Iterations)
+	s = make([][]int, a.cfg.Iterations)
 	perm := make([]int, n)
 	flat := make([]int, a.cfg.Iterations*k)
 	for it := range s {
@@ -136,14 +127,23 @@ func (a *Assessor) samplesFor(n, k int) [][]int {
 		sort.Ints(cols)
 		s[it] = cols
 	}
+	if len(flat) > maxSampleInts {
+		return s
+	}
 
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if cached, ok := rt.samples[key]; ok {
+	sampleTable.Lock()
+	defer sampleTable.Unlock()
+	if cached, ok := sampleTable.shapes[key]; ok {
 		return cached // another goroutine won the race; share its copy
 	}
-	if len(rt.samples) < maxSampleShapes {
-		rt.samples[key] = s
+	for old := range sampleTable.shapes {
+		if sampleTable.ints+len(flat) <= maxSampleInts {
+			break
+		}
+		delete(sampleTable.shapes, old)
+		sampleTable.ints -= old.iterations * old.k
 	}
+	sampleTable.shapes[key] = s
+	sampleTable.ints += len(flat)
 	return s
 }

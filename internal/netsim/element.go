@@ -177,7 +177,9 @@ type Config struct {
 	SONEnabled bool
 }
 
-// Element is one addressable network element.
+// Element is one addressable network element. Elements reached through
+// a Network are shared and read-only: callers must not write their
+// fields (see Network).
 type Element struct {
 	ID     string
 	Kind   Kind

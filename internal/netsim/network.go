@@ -8,6 +8,13 @@ import (
 // Network is a collection of elements with parent/child adjacency — the
 // topological structure the paper infers from daily configuration
 // snapshots (§2.2) and uses for control-group selection (§3.3).
+//
+// A Network is read-only once constructed: only Build (and the Add calls
+// of whoever assembles a network by hand) may write it or its elements.
+// Every query method only reads, so one built Network may be shared by
+// concurrent goroutines — the assessment service caches built networks
+// across jobs on this contract. Code that needs a modified topology
+// builds a new Network instead of writing to a shared one.
 type Network struct {
 	elements map[string]*Element
 	order    []string            // insertion order, for deterministic iteration

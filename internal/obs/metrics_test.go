@@ -144,7 +144,8 @@ func TestWritePrometheusHelp(t *testing.T) {
 		MetricCacheHits, MetricCacheMisses, MetricJobSeconds,
 		MetricJobQueueSeconds, MetricJobRunSeconds, MetricJobs,
 		MetricJobPanics,
-		MetricJournalAppends, MetricJournalReplayed, MetricJournalCompactions,
+		MetricJournalAppends, MetricJournalAppendErrors,
+		MetricJournalReplayed, MetricJournalCompactions,
 		MetricRouterBreakerTransitions, MetricRouterHedges, MetricRouterHedgeWins,
 	} {
 		if Help(name) == "" {

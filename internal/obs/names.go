@@ -137,6 +137,10 @@ const (
 	// MetricJournalAppends counts records appended to the durability
 	// journal (job submissions and completions).
 	MetricJournalAppends = "litmus_journal_appends_total"
+	// MetricJournalAppendErrors counts journal appends that failed; the
+	// record is lost from the journal while the in-memory state it
+	// mirrors still advances.
+	MetricJournalAppendErrors = "litmus_journal_append_errors_total"
 	// MetricJournalReplayed counts completed results repopulated into
 	// the result cache from the journal during boot replay.
 	MetricJournalReplayed = "litmus_journal_replayed_total"
@@ -215,9 +219,10 @@ var helpText = map[string]string{
 	MetricJobs:            "Finished assessment jobs, labeled by terminal status.",
 	MetricJobPanics:       "Per-job panics recovered by a worker.",
 
-	MetricJournalAppends:     "Records appended to the durability journal.",
-	MetricJournalReplayed:    "Completed results repopulated from the journal during boot replay.",
-	MetricJournalCompactions: "Background journal compactions of sealed segments.",
+	MetricJournalAppends:      "Records appended to the durability journal.",
+	MetricJournalAppendErrors: "Durability-journal appends that failed; the record is not durable.",
+	MetricJournalReplayed:     "Completed results repopulated from the journal during boot replay.",
+	MetricJournalCompactions:  "Background journal compactions of sealed segments.",
 
 	MetricRouterBreakerTransitions: "Shard-router circuit-breaker state changes, labeled by endpoint and target state.",
 	MetricRouterHedges:             "Hedged backup requests fired by the shard router.",

@@ -21,9 +21,9 @@ package serve
 // finish. By the determinism contract a replayed result is bit-identical
 // to a recomputed one, so replay only ever skips work.
 //
-// Append errors are logged and otherwise ignored: durability is
-// best-effort, serving is not — a full disk degrades the journal, never
-// the API.
+// Append errors are logged and counted (litmus_journal_append_errors_total)
+// and otherwise ignored: durability is best-effort, serving is not — a
+// full disk degrades the journal, never the API.
 
 import (
 	"encoding/json"
@@ -54,8 +54,11 @@ func (s *Server) journalAppendLocked(rec journal.Record) {
 	if s.journal == nil {
 		return
 	}
-	if err := s.journal.Append(rec); err != nil && s.cfg.Logger != nil {
-		s.cfg.Logger.Error("journal append failed", "kind", rec.Kind.String(), "job", rec.Digest, "error", err)
+	if err := s.journal.Append(rec); err != nil {
+		s.reg.Counter(obs.MetricJournalAppendErrors).Add(1)
+		if s.cfg.Logger != nil {
+			s.cfg.Logger.Error("journal append failed", "kind", rec.Kind.String(), "job", rec.Digest, "error", err)
+		}
 	}
 }
 

@@ -435,3 +435,39 @@ func TestCanonicalJobID(t *testing.T) {
 		t.Fatal("CanonicalJobID accepted an invalid request")
 	}
 }
+
+// TestJournalAppendErrorsCounted closes the journal under a running
+// server between a job's submit and its completion: the job still
+// completes and serves its result, and the one failed append — the
+// completion record — is counted.
+func TestJournalAppendErrorsCounted(t *testing.T) {
+	var calls atomic.Int64
+	s, ts, jr := journalServer(t, t.TempDir(), Config{Workers: 1}, &calls, true)
+	defer ts.Close()
+	<-s.ReplayDone()
+
+	sub, _ := submit(t, ts, requestWithSeed(t, 4101))
+	<-s.testStarted // the submit record is journaled; the worker waits
+	if n := counterValue(t, s.Registry(), obs.MetricJournalAppendErrors); n != 0 {
+		t.Fatalf("append errors before the journal closed = %d, want 0", n)
+	}
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(s.testRelease)
+
+	if st := waitDone(t, ts, sub.ID); st.Status != stateDone {
+		t.Fatalf("job finished %q: %s", st.Status, st.Error)
+	}
+	if _, code := fetchResult(t, ts, sub.ID); code != http.StatusOK {
+		t.Fatalf("result status %d, want 200", code)
+	}
+	if n := counterValue(t, s.Registry(), obs.MetricJournalAppendErrors); n != 1 {
+		t.Errorf("%s = %d, want 1", obs.MetricJournalAppendErrors, n)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+}

@@ -4,8 +4,9 @@ package serve
 // submitted it: a single POST /v1/assess is a changelog of one entry.
 // The job's unique uncached entries go through the engine's batch path
 // (litmus.Pipeline.AssessBatch) against one shared synthetic world, built
-// in the exact construction sequence of the golden fixture; cached
-// entries are spliced back in from their submit-time resolution. A
+// in the exact construction sequence of the golden fixture on a network
+// from the process-wide topology cache (topology.go); cached entries are
+// spliced back in from their submit-time resolution. A
 // single job's result is its entry's bytes and its entry's error is the
 // job's error; a batch job's result is the BatchResultDoc.
 //
@@ -36,7 +37,6 @@ import (
 	"repro/internal/control"
 	"repro/internal/gen"
 	"repro/internal/kpi"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/serve/journal"
 
@@ -165,7 +165,7 @@ func (s *Server) assessEntries(ctx context.Context, scope *obs.Scope, j *job) (m
 		return outcomes, nil
 	}
 	base := j.pending[0].req
-	net := netsim.Build(base.topo)
+	net := topologies.network(base)
 	gcfg := gen.DefaultConfig(base.index)
 	gcfg.Seed = base.genSeed
 	baseGen := gen.New(net, gcfg)
