@@ -15,12 +15,8 @@ package litmus
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"strings"
-	"time"
 
 	"repro/internal/changelog"
 	"repro/internal/control"
@@ -78,19 +74,10 @@ type batchEntryState struct {
 	change   *changelog.Change
 	provider SeriesProvider
 	esc      *obs.Scope
-	assessor *Assessor
 	err      error // terminal per-entry error (validation, selection)
 	out      *ChangeAssessment
 	failures []AssessmentFailure
 	kpiErrs  []error
-	panels   []entryPanels
-	shared   []*core.PanelFactors
-	results  []GroupResult
-	errs     []error
-}
-
-type entryPanels struct {
-	studies, controls *Panel
 }
 
 // panelEntry is one memoized per-KPI panel assembly: the panels plus the
@@ -114,20 +101,6 @@ type selEntry struct {
 	err      error
 }
 
-// factorGroup is one set of (entry × KPI) assessments whose control
-// panels are value-identical at the same change time — the unit that
-// shares one PanelFactors preparation.
-type factorGroup struct {
-	rep     *Panel // representative control panel
-	at      time.Time
-	members []groupRef
-	factors *core.PanelFactors
-}
-
-type groupRef struct {
-	entry, kpi int
-}
-
 // AssessBatch assesses every entry of a batch, sharing control
 // selections, panel assemblies and before-window factorizations across
 // entries whose signatures coincide. Batch-level preconditions (no
@@ -140,8 +113,7 @@ type groupRef struct {
 // AssessChangeContext(ctx, entries[i].Change, kpis, windowDays) on a
 // pipeline whose Provider is entry i's provider, for every worker count.
 // The shared products are precisely the values the per-change path would
-// compute, and adoption falls back to fresh computation on any mismatch,
-// so sharing can change cost but never bytes.
+// compute, so sharing can change cost but never bytes.
 func (p *Pipeline) AssessBatch(ctx context.Context, entries []BatchEntry, kpis []KPI, windowDays int) (*BatchAssessment, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -190,7 +162,9 @@ func (p *Pipeline) AssessBatch(ctx context.Context, entries []BatchEntry, kpis [
 	// selection, panel assembly. Sequential because SeriesProvider
 	// implementations need not be safe for concurrent use (the same
 	// contract AssessChangeContext honors); selection and assembly are
-	// memoized so entries with repeated signatures pay once.
+	// memoized so entries with repeated signatures pay once. Each live
+	// (entry × KPI) pair becomes one assessment job.
+	var jobs []core.GroupJob
 	selCache := map[string]selEntry{}
 	panelCache := map[panelCacheKey]*panelEntry{}
 	for i := range entries {
@@ -205,7 +179,6 @@ func (p *Pipeline) AssessBatch(ctx context.Context, entries []BatchEntry, kpis [
 		if change != nil {
 			st.esc.SetAttr("change", change.ID)
 		}
-		st.assessor = assessor.WithObserver(st.esc)
 		if provider == nil {
 			st.err = fmt.Errorf("litmus: pipeline needs a network and a series provider")
 			continue
@@ -240,9 +213,7 @@ func (p *Pipeline) AssessBatch(ctx context.Context, entries []BatchEntry, kpis [
 			ControlGroup: se.controls,
 			PerKPI:       make(map[KPI]GroupResult, len(kpis)),
 		}
-		st.panels = make([]entryPanels, len(kpis))
 		st.kpiErrs = make([]error, len(kpis))
-		st.shared = make([]*core.PanelFactors, len(kpis))
 		// Assemblies are memoized only for entries reading the pipeline's
 		// provider: a per-entry provider can serve different values for
 		// the same element, so its panels are never shared by signature —
@@ -272,7 +243,7 @@ func (p *Pipeline) AssessBatch(ctx context.Context, entries []BatchEntry, kpis [
 				st.failures = append(st.failures, AssessmentFailure{KPI: metric, Reason: core.ReasonOf(pe.err), Detail: pe.err.Error()})
 				continue
 			}
-			st.panels[ki] = entryPanels{studies: pe.studies, controls: pe.controls}
+			jobs = append(jobs, core.GroupJob{Studies: pe.studies, Controls: pe.controls, At: change.At, Metric: metric, Obs: st.esc})
 		}
 		assembly.End()
 	}
@@ -280,109 +251,22 @@ func (p *Pipeline) AssessBatch(ctx context.Context, entries []BatchEntry, kpis [
 		return nil, err
 	}
 
-	// Phase 2 — group (entry × KPI) assessments whose control panels are
-	// value-identical at the same change time, and prepare each
-	// multi-member group's factorizations once. Pointer identity (from
-	// the assembly cache) short-circuits; otherwise panels are matched by
-	// content hash plus full verification, so a hash collision costs a
-	// comparison, never a wrong share.
-	var groups []*factorGroup
-	byPtr := map[*Panel]*factorGroup{}
-	byHash := map[uint64][]*factorGroup{}
-	for i, st := range states {
-		if st.err != nil {
-			continue
-		}
-		for ki := range kpis {
-			if st.kpiErrs[ki] != nil {
-				continue
-			}
-			pan := st.panels[ki]
-			// Only groups the shared fast path can serve are worth
-			// grouping: a uniform time grid and at least one fully
-			// observed study element. Others fall back per element,
-			// exactly as the per-change path would.
-			if !pan.studies.Index().Equal(pan.controls.Index()) || !core.SharedEligible(pan.studies, st.change.At) {
-				continue
-			}
-			g := byPtr[pan.controls]
-			if g != nil && !g.at.Equal(st.change.At) {
-				g = nil
-			}
-			if g == nil {
-				h := panelContentHash(pan.controls, st.change.At)
-				for _, cand := range byHash[h] {
-					if cand.at.Equal(st.change.At) && panelsEqual(cand.rep, pan.controls) {
-						g = cand
-						break
-					}
-				}
-				if g == nil {
-					g = &factorGroup{rep: pan.controls, at: st.change.At}
-					groups = append(groups, g)
-					byHash[h] = append(byHash[h], g)
-				}
-				if _, ok := byPtr[pan.controls]; !ok {
-					byPtr[pan.controls] = g
-				}
-			}
-			g.members = append(g.members, groupRef{entry: i, kpi: ki})
-		}
-	}
-	prepAssessor := assessor.WithObserver(sc)
-	for _, g := range groups {
-		if len(g.members) < 2 {
-			// A panel no other entry touches gains nothing from external
-			// preparation; its assessment prepares (and shares across its
-			// own elements) exactly as the per-change path does.
-			continue
-		}
-		g.factors = prepAssessor.PrepPanelFactors(ctx, g.rep, g.at)
-		if g.factors == nil {
-			continue
-		}
-		out.FactorizationsReused += int64(len(g.members)) * g.factors.Factorizations()
-		for _, m := range g.members {
-			states[m.entry].shared[m.kpi] = g.factors
-		}
-	}
+	// Phase 2 — the assessment grid, in one core call: it shares
+	// before-window factorizations across jobs whose control panels are
+	// value-identical at the same change time, then fans the jobs out.
+	// Per-iteration seeding makes each group result independent of
+	// scheduling, so the batch is deterministic for every worker count.
+	results, errs, reused := assessor.WithObserver(sc).AssessGroups(ctx, jobs)
+	out.FactorizationsReused = reused
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	// Phase 3 — the assessment grid: pure computation on immutable
-	// panels, fanned out over every live (entry × KPI) pair. Per-iteration
-	// seeding makes each group result independent of scheduling, so the
-	// batch is deterministic for every worker count.
-	type workItem struct {
-		st *batchEntryState
-		ki int
-	}
-	var items []workItem
-	for _, st := range states {
-		if st.err != nil {
-			continue
-		}
-		st.results = make([]GroupResult, len(kpis))
-		st.errs = make([]error, len(kpis))
-		for ki := range kpis {
-			if st.kpiErrs[ki] == nil {
-				items = append(items, workItem{st, ki})
-			}
-		}
-	}
-	core.ForEachIndex(assessor.Config().Workers, len(items), func(n int) {
-		it := items[n]
-		pan := it.st.panels[it.ki]
-		it.st.results[it.ki], it.st.errs[it.ki] = it.st.assessor.AssessGroupPrepared(ctx, it.st.shared[it.ki], pan.studies, pan.controls, it.st.change.At, kpis[it.ki])
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Phase 4 — per-entry gathering, in the per-change path's exact
+	// Phase 3 — per-entry gathering, in the per-change path's exact
 	// order: KPI-level errors, then element-level degradations per voted
-	// KPI, then the decision.
+	// KPI, then the decision. Jobs are consumed in the order phase 2
+	// built them.
+	next := 0
 	for i, st := range states {
 		if st.err != nil {
 			out.Errors[i] = st.err
@@ -392,9 +276,13 @@ func (p *Pipeline) AssessBatch(ctx context.Context, entries []BatchEntry, kpis [
 		failures := st.failures
 		for ki, metric := range kpis {
 			err := st.kpiErrs[ki]
-			if err == nil && st.errs[ki] != nil {
-				err = st.errs[ki]
-				failures = append(failures, AssessmentFailure{KPI: metric, Reason: core.ReasonOf(err), Detail: err.Error()})
+			var res GroupResult
+			if err == nil {
+				res, err = results[next], errs[next]
+				next++
+				if err != nil {
+					failures = append(failures, AssessmentFailure{KPI: metric, Reason: core.ReasonOf(err), Detail: err.Error()})
+				}
 			}
 			if err != nil {
 				if firstErr == nil {
@@ -402,10 +290,10 @@ func (p *Pipeline) AssessBatch(ctx context.Context, entries []BatchEntry, kpis [
 				}
 				continue
 			}
-			for _, f := range st.results[ki].Failures {
+			for _, f := range res.Failures {
 				failures = append(failures, AssessmentFailure{KPI: metric, Element: f.Element, Reason: f.Reason, Detail: f.Detail})
 			}
-			st.out.PerKPI[metric] = st.results[ki]
+			st.out.PerKPI[metric] = res
 		}
 		if len(st.out.PerKPI) == 0 {
 			out.Errors[i] = firstErr
@@ -440,58 +328,4 @@ func batchSelKey(c *changelog.Change) string {
 		b.WriteByte(1)
 	}
 	return b.String()
-}
-
-// panelContentHash fingerprints a control panel's assessment-relevant
-// content — time grid, column IDs in order, every value's exact bits —
-// plus the change time anchoring the before/after split. Equal content
-// hashes equal; collisions are resolved by panelsEqual before sharing.
-func panelContentHash(p *Panel, at time.Time) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	w64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	idx := p.Index()
-	w64(uint64(idx.Start.UnixNano()))
-	w64(uint64(idx.Step))
-	w64(uint64(idx.N))
-	w64(uint64(at.UnixNano()))
-	for _, id := range p.IDs() {
-		h.Write([]byte(id))
-		h.Write([]byte{0})
-		for _, v := range p.MustSeries(id).Values {
-			w64(math.Float64bits(v))
-		}
-	}
-	return h.Sum64()
-}
-
-// panelsEqual reports bitwise value identity of two panels: same index,
-// same column IDs in the same order, every observation's exact bits
-// equal (NaNs compare by payload, so panels with identical missing-data
-// patterns still match).
-func panelsEqual(a, b *Panel) bool {
-	if !a.Index().Equal(b.Index()) || a.Len() != b.Len() {
-		return false
-	}
-	aIDs, bIDs := a.IDs(), b.IDs()
-	for i := range aIDs {
-		if aIDs[i] != bIDs[i] {
-			return false
-		}
-	}
-	for _, id := range aIDs {
-		av, bv := a.MustSeries(id).Values, b.MustSeries(id).Values
-		if len(av) != len(bv) {
-			return false
-		}
-		for j := range av {
-			if math.Float64bits(av[j]) != math.Float64bits(bv[j]) {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -215,6 +215,17 @@ func TestBatchSharingCounters(t *testing.T) {
 	if got, _ := snap["litmus_batch_factorizations_reused_total"].(int64); got != batch.FactorizationsReused {
 		t.Errorf("registry reuse counter %v != BatchAssessment.FactorizationsReused %d", got, batch.FactorizationsReused)
 	}
+	// Exact counts on batchWorld (50 iterations, no resampled draws):
+	// CHG-B1/B2/B6 share one control panel per KPI, so 2 preparations of
+	// 50 factorizations are each adopted by 3 members (300 reused); the
+	// before-window factorizations are those 2 preparations plus CHG-B3's
+	// and CHG-B4's own 2 × 50 each (300).
+	if batch.FactorizationsReused != 300 {
+		t.Errorf("FactorizationsReused = %d, want exactly 300", batch.FactorizationsReused)
+	}
+	if got := snap["litmus_before_factorizations_total"]; got != int64(300) {
+		t.Errorf("litmus_before_factorizations_total = %v, want exactly 300", got)
+	}
 	// The failing entries must carry per-entry errors, not fail the batch.
 	for i, c := range changes {
 		if got := batch.Errors[i] != nil; got != batchErrEntries[c.ID] {

@@ -512,22 +512,14 @@ func (a *Assessor) AssessGroup(studies *timeseries.Panel, controls *timeseries.P
 // iterations, and a canceled assessment returns ctx.Err(). A background
 // context is the nil-cost path of AssessGroup.
 func (a *Assessor) AssessGroupContext(ctx context.Context, studies *timeseries.Panel, controls *timeseries.Panel, changeAt time.Time, metric kpi.KPI) (GroupResult, error) {
-	return a.assessGroup(ctx, nil, studies, controls, changeAt, metric)
+	return a.assessGroup(ctx, GroupJob{Studies: studies, Controls: controls, At: changeAt, Metric: metric, Obs: a.obs}, nil)
 }
 
-// AssessGroupPrepared is AssessGroupContext reusing precomputed panel
-// factors from PrepPanelFactors — the cross-change extension of the
-// group's cross-element factorization sharing. When shared applies to
-// this assessment (value-identical control panel, same change time) the
-// per-iteration QR factorizations are adopted read-only instead of
-// recomputed; otherwise — shared is nil, the panel mismatches, or no
-// study element is eligible — the call degrades to exactly
-// AssessGroupContext. Results are bit-identical either way.
-func (a *Assessor) AssessGroupPrepared(ctx context.Context, shared *PanelFactors, studies *timeseries.Panel, controls *timeseries.Panel, changeAt time.Time, metric kpi.KPI) (GroupResult, error) {
-	return a.assessGroup(ctx, shared, studies, controls, changeAt, metric)
-}
-
-func (a *Assessor) assessGroup(ctx context.Context, shared *PanelFactors, studies *timeseries.Panel, controls *timeseries.Panel, changeAt time.Time, metric kpi.KPI) (GroupResult, error) {
+// assessGroup assesses job under job.Obs, adopting pf — factors
+// AssessGroups prepared for job's control panel — or, when pf is nil,
+// preparing the group's shared factors itself.
+func (a *Assessor) assessGroup(ctx context.Context, job GroupJob, pf *panelFactors) (GroupResult, error) {
+	studies, controls, changeAt, metric := job.Studies, job.Controls, job.At, job.Metric
 	if err := ctx.Err(); err != nil {
 		return GroupResult{}, err
 	}
@@ -535,7 +527,7 @@ func (a *Assessor) assessGroup(ctx context.Context, shared *PanelFactors, studie
 	if len(ids) == 0 {
 		return GroupResult{}, fmt.Errorf("core: empty study group")
 	}
-	sc := a.obs.Child(obs.SpanAssessGroup)
+	sc := job.Obs.Child(obs.SpanAssessGroup)
 	sc.SetAttr("kpi", metric.String())
 	sc.SetAttr("elements", len(ids))
 	defer sc.End()
@@ -546,10 +538,7 @@ func (a *Assessor) assessGroup(ctx context.Context, shared *PanelFactors, studie
 	cancelable := ctx.Done() != nil
 	perElement := make([]ElementResult, len(ids))
 	errs := make([]error, len(ids))
-	gs := a.adoptPanelFactors(sc, shared, studies, controls, changeAt)
-	if gs == nil {
-		gs = a.prepGroupShared(ctx, sc, studies, controls, changeAt)
-	}
+	gs := a.prepGroupShared(ctx, sc, pf, studies, controls, changeAt)
 	if gs != nil {
 		// Cross-element sharing: the per-iteration factorizations were
 		// computed once above (see group_shared.go); qualifying elements

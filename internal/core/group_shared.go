@@ -16,14 +16,16 @@ package core
 //
 // The same observation extends across changes: the per-iteration
 // products depend only on the control panel's values, the change time
-// and the assessor configuration — never on the study group. A batch of
-// changes whose (control-set, KPI, window) signatures coincide therefore
-// shares one PanelFactors handle (see PrepPanelFactors and
-// AssessGroupPrepared), reducing a changelog's factorizations from
-// Iterations × Changes to Iterations per distinct control panel.
+// and the assessor configuration — never on the study group. AssessGroups
+// therefore assesses many study groups at once, preparing the products
+// once per distinct (control panel, change time) pair, reducing a
+// changelog's factorizations from Iterations × Changes to Iterations per
+// distinct control panel.
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"sync/atomic"
 	"time"
@@ -51,9 +53,6 @@ type iterShared struct {
 // every group — and every change — assessed against a value-identical
 // control panel at the same change time.
 type panelFactors struct {
-	n, k       int
-	index      timeseries.Index
-	splitAt    time.Time
 	fitRows    []int
 	iters      []iterShared
 	factorized int64 // QR factorizations the compute pass performed
@@ -95,23 +94,32 @@ func studyEligibility(studies *timeseries.Panel, changeAt time.Time) (eligible [
 	return eligible, any
 }
 
-// prepGroupShared qualifies the group for cross-element factorization
-// sharing and, when at least one element qualifies, computes the shared
-// per-iteration products. It returns nil when the panel itself cannot be
-// assessed uniformly (index mismatch, too few controls, windows too
-// short, no admissible sample size) or when no element has a fully
-// observed before window — the caller then uses the per-element path
-// unchanged.
-func (a *Assessor) prepGroupShared(ctx context.Context, sc *obs.Scope, studies, controls *timeseries.Panel, changeAt time.Time) *groupShared {
+// shareable reports whether the shared path can serve a group: study and
+// control grids coincide and at least one study element has a fully
+// observed before window. It also returns the group's eligibility mask.
+func shareable(studies, controls *timeseries.Panel, changeAt time.Time) (eligible []bool, ok bool) {
 	if !studies.Index().Equal(controls.Index()) {
+		return nil, false
+	}
+	return studyEligibility(studies, changeAt)
+}
+
+// prepGroupShared qualifies the group for cross-element factorization
+// sharing and, when at least one element qualifies, adopts pf — factors
+// AssessGroups prepared for this exact control panel and change time —
+// or, when pf is nil, computes the shared per-iteration products here.
+// It returns nil when the panel itself cannot be assessed uniformly
+// (index mismatch, too few controls, windows too short, no admissible
+// sample size) or when no element has a fully observed before window —
+// the caller then uses the per-element path unchanged.
+func (a *Assessor) prepGroupShared(ctx context.Context, sc *obs.Scope, pf *panelFactors, studies, controls *timeseries.Panel, changeAt time.Time) *groupShared {
+	eligible, ok := shareable(studies, controls, changeAt)
+	if !ok {
 		return nil
 	}
-	eligible, any := studyEligibility(studies, changeAt)
-	if !any {
-		return nil
-	}
-	pf := a.prepPanelFactors(ctx, sc, controls, changeAt)
-	if pf == nil {
+	if pf != nil {
+		sc.Counter(obs.MetricBatchFactorizationsReused).Add(pf.factorized)
+	} else if pf = a.prepPanelFactors(ctx, sc, controls, changeAt); pf == nil {
 		return nil
 	}
 	return &groupShared{panelFactors: pf, eligible: eligible}
@@ -139,10 +147,6 @@ func (a *Assessor) prepPanelFactors(ctx context.Context, sc *obs.Scope, controls
 	prep := sc.Child(obs.SpanGroupPrep)
 	defer prep.End()
 	pf := &panelFactors{
-		n:       n,
-		k:       k,
-		index:   controls.Index(),
-		splitAt: changeAt,
 		fitRows: make([]int, lenB),
 		iters:   make([]iterShared, a.cfg.Iterations),
 	}
@@ -196,79 +200,150 @@ func (a *Assessor) prepPanelFactors(ctx context.Context, sc *obs.Scope, controls
 	return pf
 }
 
-// PanelFactors is an opaque, immutable handle to the element- and
-// study-independent sampling products of one (control panel, change
-// time) pair: the per-iteration sampled designs, QR factorizations and
-// hat-matrix diagonals every assessment against that panel reuses. It is
-// safe for concurrent read-only use by any number of
-// AssessGroupPrepared calls.
+// GroupJob is one study group for AssessGroups: the arguments of one
+// AssessGroupContext call plus the scope its spans and counters go
+// under (nil records into the receiver's scope).
+type GroupJob struct {
+	Studies, Controls *timeseries.Panel
+	At                time.Time
+	Metric            kpi.KPI
+	Obs               *obs.Scope
+}
+
+// AssessGroups assesses every job, results and errors positionally 1:1
+// with jobs, sharing before-window factorizations across jobs whose
+// control panels are value-identical at the same change time. Each
+// group of at least two shareable jobs (see shareable) is prepared once,
+// under the receiver's scope, before any job runs; a job no other job
+// shares with prepares inside its own assessment, as AssessGroupContext
+// does. The jobs then fan out over the worker pool. reused counts the
+// adopted factorizations: Σ members × one preparation's factorizations.
 //
-// The handle carries no copy of the panel's values, so the caller must
-// only reuse it across panels that are value-identical (same column IDs,
-// same values, same index) at the same change time — the batch layer
-// guarantees this by keying its factor cache on panel content.
-// Index/shape/split mismatches are detected and fall back to a fresh
-// computation; value mismatches are not detectable and would silently
-// reuse the wrong designs.
-type PanelFactors struct {
-	pf *panelFactors
+// Job i's result and error are bit-identical to
+// a.WithObserver(jobs[i].Obs).AssessGroupContext on the same arguments,
+// for every worker count: the shared products are precisely the values
+// each job would compute alone.
+func (a *Assessor) AssessGroups(ctx context.Context, jobs []GroupJob) (results []GroupResult, errs []error, reused int64) {
+	shared := make([]*panelFactors, len(jobs))
+	for _, members := range factorGroups(jobs) {
+		if len(members) < 2 {
+			continue
+		}
+		rep := jobs[members[0]]
+		pf := a.prepPanelFactors(ctx, a.obs, rep.Controls, rep.At)
+		if pf == nil {
+			continue
+		}
+		reused += int64(len(members)) * pf.factorized
+		for _, m := range members {
+			shared[m] = pf
+		}
+	}
+	results = make([]GroupResult, len(jobs))
+	errs = make([]error, len(jobs))
+	forEach(a.cfg.Workers, len(jobs), func(i int) {
+		j := jobs[i]
+		if j.Obs == nil {
+			j.Obs = a.obs
+		}
+		results[i], errs[i] = a.assessGroup(ctx, j, shared[i])
+	})
+	return results, errs, reused
 }
 
-// Factorizations returns the number of QR factorizations the compute
-// pass performed — the work a reusing assessment skips.
-func (f *PanelFactors) Factorizations() int64 {
-	if f == nil || f.pf == nil {
-		return 0
+// factorGroups partitions the shareable jobs into groups whose control
+// panels are value-identical at the same change time, each group a list
+// of job indices in job order, groups in order of first appearance.
+// Pointer identity (panels repeated by an assembly cache) short-circuits;
+// otherwise panels are matched by content hash plus full verification,
+// so a hash collision costs a comparison, never a wrong share.
+func factorGroups(jobs []GroupJob) [][]int {
+	var groups [][]int
+	byPtr := map[*timeseries.Panel]int{}
+	byHash := map[uint64][]int{}
+	for i, j := range jobs {
+		if _, ok := shareable(j.Studies, j.Controls, j.At); !ok {
+			continue
+		}
+		g, ok := byPtr[j.Controls]
+		if ok && !jobs[groups[g][0]].At.Equal(j.At) {
+			ok = false
+		}
+		if !ok {
+			h := panelContentHash(j.Controls, j.At)
+			for _, cand := range byHash[h] {
+				rep := jobs[groups[cand][0]]
+				if rep.At.Equal(j.At) && panelsEqual(rep.Controls, j.Controls) {
+					g, ok = cand, true
+					break
+				}
+			}
+			if !ok {
+				g = len(groups)
+				groups = append(groups, nil)
+				byHash[h] = append(byHash[h], g)
+			}
+			if _, seen := byPtr[j.Controls]; !seen {
+				byPtr[j.Controls] = g
+			}
+		}
+		groups[g] = append(groups[g], i)
 	}
-	return f.pf.factorized
+	return groups
 }
 
-// PrepPanelFactors computes the shareable per-iteration products for one
-// control panel split at changeAt, independent of any study group. It
-// returns nil when the panel cannot take the shared path (too few
-// controls, windows too short, no admissible sample size) — callers then
-// pass nil to AssessGroupPrepared, which behaves exactly like
-// AssessGroupContext.
-func (a *Assessor) PrepPanelFactors(ctx context.Context, controls *timeseries.Panel, changeAt time.Time) *PanelFactors {
-	pf := a.prepPanelFactors(ctx, a.obs, controls, changeAt)
-	if pf == nil {
-		return nil
+// panelContentHash fingerprints a control panel's assessment-relevant
+// content — time grid, column IDs in order, every value's exact bits —
+// plus the change time anchoring the before/after split. Equal content
+// hashes equal; collisions are resolved by panelsEqual before sharing.
+func panelContentHash(p *timeseries.Panel, at time.Time) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	w64 := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
 	}
-	return &PanelFactors{pf: pf}
+	idx := p.Index()
+	w64(uint64(idx.Start.UnixNano()))
+	w64(uint64(idx.Step))
+	w64(uint64(idx.N))
+	w64(uint64(at.UnixNano()))
+	for _, id := range p.IDs() {
+		h.Write([]byte(id))
+		h.Write([]byte{0})
+		for _, v := range p.MustSeries(id).Values {
+			w64(math.Float64bits(v))
+		}
+	}
+	return h.Sum64()
 }
 
-// SharedEligible reports whether at least one study element qualifies
-// for the shared-factorization path (a fully observed before window) —
-// the precondition under which precomputing PanelFactors for the group's
-// control panel is useful rather than wasted work.
-func SharedEligible(studies *timeseries.Panel, changeAt time.Time) bool {
-	_, any := studyEligibility(studies, changeAt)
-	return any
-}
-
-// adoptPanelFactors wraps precomputed panel factors for one study group
-// when they apply to this exact assessment: the factors must describe a
-// control panel of the same index, column count and change-time split,
-// and at least one study element must be eligible for sharing. It
-// returns nil otherwise — the caller then recomputes from scratch, so a
-// stale or mismatched handle can cost time but never correctness.
-func (a *Assessor) adoptPanelFactors(sc *obs.Scope, shared *PanelFactors, studies, controls *timeseries.Panel, changeAt time.Time) *groupShared {
-	if shared == nil || shared.pf == nil {
-		return nil
+// panelsEqual reports bitwise value identity of two panels: same index,
+// same column IDs in the same order, every observation's exact bits
+// equal (NaNs compare by payload, so panels with identical missing-data
+// patterns still match).
+func panelsEqual(a, b *timeseries.Panel) bool {
+	if !a.Index().Equal(b.Index()) || a.Len() != b.Len() {
+		return false
 	}
-	pf := shared.pf
-	if !studies.Index().Equal(controls.Index()) ||
-		!controls.Index().Equal(pf.index) ||
-		controls.Len() != pf.n ||
-		!pf.splitAt.Equal(changeAt) {
-		return nil
+	aIDs, bIDs := a.IDs(), b.IDs()
+	for i := range aIDs {
+		if aIDs[i] != bIDs[i] {
+			return false
+		}
 	}
-	eligible, any := studyEligibility(studies, changeAt)
-	if !any {
-		return nil
+	for _, id := range aIDs {
+		av, bv := a.MustSeries(id).Values, b.MustSeries(id).Values
+		if len(av) != len(bv) {
+			return false
+		}
+		for j := range av {
+			if math.Float64bits(av[j]) != math.Float64bits(bv[j]) {
+				return false
+			}
+		}
 	}
-	sc.Counter(obs.MetricBatchFactorizationsReused).Add(pf.factorized)
-	return &groupShared{panelFactors: pf, eligible: eligible}
+	return true
 }
 
 // assessElementShared is AssessElement for an element whose before window

@@ -94,21 +94,9 @@ func (c *Client) do(ctx context.Context, method, path string, body io.Reader) (*
 // response (Cached reports a result-cache or in-flight dedup hit); any
 // other status is an *APIError — 429 carries the Retry-After hint.
 func (c *Client) Submit(ctx context.Context, req *serve.AssessRequest) (*serve.SubmitResponse, error) {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("encoding request: %w", err)
-	}
-	resp, err := c.do(ctx, http.MethodPost, "/v1/assess", bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		return nil, decodeAPIError(resp)
-	}
 	var sub serve.SubmitResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		return nil, fmt.Errorf("decoding submit response: %w", err)
+	if err := c.post(ctx, "/v1/assess", req, &sub, "submit response"); err != nil {
+		return nil, err
 	}
 	return &sub, nil
 }
@@ -116,71 +104,54 @@ func (c *Client) Submit(ctx context.Context, req *serve.AssessRequest) (*serve.S
 // SubmitBatch posts a changelog to POST /v1/assess/batch. The response
 // carries the batch job id plus per-entry digests and cached flags.
 func (c *Client) SubmitBatch(ctx context.Context, req *serve.BatchAssessRequest) (*serve.BatchSubmitResponse, error) {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("encoding request: %w", err)
-	}
-	resp, err := c.do(ctx, http.MethodPost, "/v1/assess/batch", bytes.NewReader(payload))
-	if err != nil {
+	var sub serve.BatchSubmitResponse
+	if err := c.post(ctx, "/v1/assess/batch", req, &sub, "batch submit response"); err != nil {
 		return nil, err
+	}
+	return &sub, nil
+}
+
+// post sends in as JSON to path and decodes a 200/202 response into
+// out; what names the response in decoding errors. Any other status is
+// an *APIError.
+func (c *Client) post(ctx context.Context, path string, in, out any, what string) error {
+	payload, err := json.Marshal(in)
+	if err != nil {
+		return fmt.Errorf("encoding request: %w", err)
+	}
+	resp, err := c.do(ctx, http.MethodPost, path, bytes.NewReader(payload))
+	if err != nil {
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		return nil, decodeAPIError(resp)
+		return decodeAPIError(resp)
 	}
-	var sub serve.BatchSubmitResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		return nil, fmt.Errorf("decoding batch submit response: %w", err)
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("decoding %s: %w", what, err)
 	}
-	return &sub, nil
+	return nil
 }
 
 // AssessBatch submits a changelog and blocks until the batch job
 // finishes, returning the decoded per-entry result document. Queue-full
 // 429s are retried after the server's Retry-After hint.
 func (c *Client) AssessBatch(ctx context.Context, req *serve.BatchAssessRequest) (*serve.BatchResultDoc, error) {
-	var sub *serve.BatchSubmitResponse
-	for {
-		var err error
-		sub, err = c.SubmitBatch(ctx, req)
-		if err == nil {
-			break
-		}
-		apiErr, ok := err.(*APIError)
-		if !ok || apiErr.StatusCode != http.StatusTooManyRequests {
-			return nil, err
-		}
-		wait := apiErr.RetryAfter
-		if wait <= 0 {
-			wait = time.Second
-		}
-		if err := sleepCtx(ctx, wait); err != nil {
-			return nil, err
-		}
-	}
-	for {
-		st, err := c.Job(ctx, sub.ID)
+	raw, err := c.submitAndWait(ctx, func() (string, error) {
+		sub, err := c.SubmitBatch(ctx, req)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
-		switch st.Status {
-		case "done":
-			raw, err := c.Result(ctx, sub.ID)
-			if err != nil {
-				return nil, err
-			}
-			var doc serve.BatchResultDoc
-			if err := json.Unmarshal(raw, &doc); err != nil {
-				return nil, fmt.Errorf("decoding batch result: %w", err)
-			}
-			return &doc, nil
-		case "failed":
-			return nil, fmt.Errorf("job %s failed: %s", sub.ID, st.Error)
-		}
-		if err := sleepCtx(ctx, c.PollInterval); err != nil {
-			return nil, err
-		}
+		return sub.ID, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	var doc serve.BatchResultDoc
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		return nil, fmt.Errorf("decoding batch result: %w", err)
+	}
+	return &doc, nil
 }
 
 // Ready probes GET /readyz. nil means the node is accepting work; a
@@ -236,18 +207,30 @@ func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
 // after the server's Retry-After hint; job status is polled at
 // PollInterval. Cancel ctx to give up.
 func (c *Client) Assess(ctx context.Context, req *serve.AssessRequest) ([]byte, error) {
-	var sub *serve.SubmitResponse
+	return c.submitAndWait(ctx, func() (string, error) {
+		sub, err := c.Submit(ctx, req)
+		if err != nil {
+			return "", err
+		}
+		return sub.ID, nil
+	})
+}
+
+// submitAndWait calls submit until the service accepts it, waiting out
+// each queue-full 429 for the server's Retry-After hint (1s without
+// one), then polls the job at PollInterval and returns its result bytes.
+func (c *Client) submitAndWait(ctx context.Context, submit func() (string, error)) ([]byte, error) {
+	var id string
 	for {
 		var err error
-		sub, err = c.Submit(ctx, req)
+		id, err = submit()
 		if err == nil {
 			break
 		}
-		apiErr, ok := err.(*APIError)
-		if !ok || apiErr.StatusCode != http.StatusTooManyRequests {
+		if !IsBackpressure(err) {
 			return nil, err
 		}
-		wait := apiErr.RetryAfter
+		wait := err.(*APIError).RetryAfter
 		if wait <= 0 {
 			wait = time.Second
 		}
@@ -256,15 +239,15 @@ func (c *Client) Assess(ctx context.Context, req *serve.AssessRequest) ([]byte, 
 		}
 	}
 	for {
-		st, err := c.Job(ctx, sub.ID)
+		st, err := c.Job(ctx, id)
 		if err != nil {
 			return nil, err
 		}
 		switch st.Status {
 		case "done":
-			return c.Result(ctx, sub.ID)
+			return c.Result(ctx, id)
 		case "failed":
-			return nil, fmt.Errorf("job %s failed: %s", sub.ID, st.Error)
+			return nil, fmt.Errorf("job %s failed: %s", id, st.Error)
 		}
 		if err := sleepCtx(ctx, c.PollInterval); err != nil {
 			return nil, err

@@ -8,6 +8,7 @@ package client
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -166,6 +167,86 @@ func TestAssessRidesOutBackpressure(t *testing.T) {
 		}
 		if len(results[i]) == 0 {
 			t.Errorf("call %d: empty result", i)
+		}
+	}
+}
+
+// batchOf wraps a single request's change as a one-entry batch over the
+// same world.
+func batchOf(req *serve.AssessRequest) *serve.BatchAssessRequest {
+	return &serve.BatchAssessRequest{
+		Topology:   req.Topology,
+		Generator:  req.Generator,
+		Index:      req.Index,
+		Changes:    []serve.ChangeSpec{req.Change},
+		KPIs:       req.KPIs,
+		WindowDays: req.WindowDays,
+		Assessor:   req.Assessor,
+		Controls:   req.Controls,
+	}
+}
+
+// TestAssessBatchGolden: the golden change submitted as a one-entry
+// batch must come back as the golden document, compacted — the batch
+// envelope embeds each entry's document without whitespace.
+func TestAssessBatchGolden(t *testing.T) {
+	c := newService(t, serve.Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	doc, err := c.AssessBatch(ctx, batchOf(goldenRequest(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Entries) != 1 {
+		t.Fatalf("batch returned %d entries, want 1", len(doc.Entries))
+	}
+	entry := doc.Entries[0]
+	if entry.Error != "" || entry.ChangeID != "CHG-GOLD" {
+		t.Fatalf("entry = %s (error %q), want CHG-GOLD without error", entry.ChangeID, entry.Error)
+	}
+	golden, err := os.ReadFile(filepath.Join("..", "..", "..", "testdata", "golden_assessment.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := json.Compact(&want, golden); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(entry.Assessment, want.Bytes()) {
+		t.Errorf("batch entry deviates from the compacted golden fixture:\ngot:\n%s\nwant:\n%s", entry.Assessment, want.Bytes())
+	}
+}
+
+// TestAssessBatchRidesOutBackpressure is TestAssessRidesOutBackpressure
+// for batches: concurrent AssessBatch calls against a tiny queue must
+// absorb the 429s and every batch must still land its entry.
+func TestAssessBatchRidesOutBackpressure(t *testing.T) {
+	c := newService(t, serve.Config{Workers: 1, QueueDepth: 1, RetryAfter: 10 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+
+	const calls = 6
+	var wg sync.WaitGroup
+	errs := make([]error, calls)
+	docs := make([]*serve.BatchResultDoc, calls)
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			req := goldenRequest(t)
+			req.Generator.Seed = int64(200 + i) // distinct jobs: no dedup shortcut
+			docs[i], errs[i] = c.AssessBatch(ctx, batchOf(req))
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < calls; i++ {
+		if errs[i] != nil {
+			t.Errorf("call %d: %v", i, errs[i])
+			continue
+		}
+		if len(docs[i].Entries) != 1 || docs[i].Entries[0].Error != "" || len(docs[i].Entries[0].Assessment) == 0 {
+			t.Errorf("call %d: entries %+v, want one assessed entry", i, docs[i].Entries)
 		}
 	}
 }

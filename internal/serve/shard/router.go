@@ -22,10 +22,10 @@ package shard
 //     determinism contract makes duplicate computations byte-identical
 //     and canonical digests make them idempotent — the worst case is
 //     one wasted computation, never a wrong or double-applied answer.
-//   - Retry budgets + deadline propagation: a failover walk attempts at
-//     most 1+RetryBudget nodes, each attempt optionally boxed by
-//     AttemptTimeout under the caller's own deadline, so retries can
-//     never amplify load or latency unboundedly.
+//   - Bounded failover + deadline propagation: a failover walk attempts
+//     each node of the sequence at most once, each attempt optionally
+//     boxed by AttemptTimeout under the caller's own deadline, so
+//     retries can never amplify load or latency unboundedly.
 //   - Live membership (SetEndpoints): the ring is rebuilt under the
 //     router's lock with health/breaker state carried over for
 //     surviving nodes, preserving the minimal-remapping guarantee.
@@ -46,11 +46,11 @@ import (
 	"repro/internal/serve/client"
 )
 
-// Hedging defaults: back up the owner when it exceeds the observed p95,
-// but never hedge sooner than the floor (which also serves as the delay
-// until enough latency samples exist).
+// Hedging: back up the owner when it exceeds the observed p95
+// (hedgeQuantile), but never hedge sooner than the floor (which also
+// serves as the delay until enough latency samples exist).
 const (
-	defaultHedgeQuantile = 0.95
+	hedgeQuantile        = 0.95
 	defaultHedgeMinDelay = 20 * time.Millisecond
 	hedgeWindow          = 512 // latency samples kept for the adaptive percentile
 	hedgeMinSamples      = 8   // below this, the floor alone decides
@@ -81,18 +81,10 @@ type RouterOptions struct {
 	// cannot consume the whole request budget. 0 inherits the caller's
 	// context unchanged.
 	AttemptTimeout time.Duration
-	// RetryBudget bounds failover: at most 1+RetryBudget nodes are
-	// attempted per request. 0 means the full ring walk (N-1 retries);
-	// negative disables failover entirely.
-	RetryBudget int
 	// Hedge enables hedged Assess calls: when the first answer takes
-	// longer than the adaptive HedgeQuantile of recent latencies, a
-	// backup fires to the next node in the digest's sequence and the
-	// first result wins.
+	// longer than the p95 of recent latencies, a backup fires to the
+	// next node in the digest's sequence and the first result wins.
 	Hedge bool
-	// HedgeQuantile is the latency quantile that arms the hedge timer
-	// (default 0.95).
-	HedgeQuantile float64
 	// HedgeMinDelay floors the hedge delay (default 20ms) and stands in
 	// for the percentile until enough samples exist.
 	HedgeMinDelay time.Duration
@@ -111,10 +103,8 @@ type Router struct {
 	breakerThreshold int
 	breakerCooldown  time.Duration
 	attemptTimeout   time.Duration
-	retryBudget      int
 
 	hedge         bool
-	hedgeQuantile float64
 	hedgeMinDelay time.Duration
 
 	mu      sync.Mutex
@@ -167,10 +157,6 @@ func NewRouter(endpoints []string, opts RouterOptions) (*Router, error) {
 	if httpc == nil {
 		httpc = http.DefaultClient
 	}
-	hedgeQ := opts.HedgeQuantile
-	if hedgeQ <= 0 || hedgeQ >= 1 {
-		hedgeQ = defaultHedgeQuantile
-	}
 	hedgeMin := opts.HedgeMinDelay
 	if hedgeMin <= 0 {
 		hedgeMin = defaultHedgeMinDelay
@@ -183,9 +169,7 @@ func NewRouter(endpoints []string, opts RouterOptions) (*Router, error) {
 		breakerThreshold: opts.BreakerThreshold,
 		breakerCooldown:  opts.BreakerCooldown,
 		attemptTimeout:   opts.AttemptTimeout,
-		retryBudget:      opts.RetryBudget,
 		hedge:            opts.Hedge,
-		hedgeQuantile:    hedgeQ,
 		hedgeMinDelay:    hedgeMin,
 		ring:             ring,
 		clients:          make(map[string]*client.Client, len(endpoints)),
@@ -309,8 +293,8 @@ func failoverable(err error) bool {
 }
 
 // plan snapshots the routing state for one request: the key's failover
-// sequence, the client and breaker per endpoint, and the attempt budget.
-func (rt *Router) plan(key string) (seq []string, clients map[string]*client.Client, health map[string]*breaker, budget int) {
+// sequence and the client and breaker per endpoint.
+func (rt *Router) plan(key string) (seq []string, clients map[string]*client.Client, health map[string]*breaker) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	seq = rt.ring.Sequence(key)
@@ -320,13 +304,7 @@ func (rt *Router) plan(key string) (seq []string, clients map[string]*client.Cli
 		clients[ep] = rt.clients[ep]
 		health[ep] = rt.health[ep]
 	}
-	budget = rt.retryBudget
-	if budget == 0 {
-		budget = len(seq) - 1
-	} else if budget < 0 {
-		budget = 0
-	}
-	return seq, clients, health, budget
+	return seq, clients, health
 }
 
 // attempt runs fn against one node, boxed by AttemptTimeout when
@@ -342,13 +320,13 @@ func (rt *Router) attempt(ctx context.Context, c *client.Client, fn func(context
 
 // route runs fn against the nodes of key's failover sequence, rotated
 // left by offset (offset 0 starts at the owner; a hedge uses offset 1),
-// until one answers, the error is deterministic, or the retry budget is
-// spent. Endpoints whose circuit is open are skipped without an attempt;
-// if that leaves nothing to try, the first node of the rotated sequence
-// is attempted anyway — a request never fails without at least one
-// attempt.
+// until one answers, the error is deterministic, or every node has been
+// tried once. Endpoints whose circuit is open are skipped without an
+// attempt; if that leaves nothing to try, the first node of the rotated
+// sequence is attempted anyway — a request never fails without at least
+// one attempt.
 func (rt *Router) route(ctx context.Context, key string, offset int, fn func(context.Context, *client.Client) error) error {
-	seq, clients, health, budget := rt.plan(key)
+	seq, clients, health := rt.plan(key)
 	if offset %= len(seq); offset > 0 {
 		seq = append(append(make([]string, 0, len(seq)), seq[offset:]...), seq[:offset]...)
 	}
@@ -372,9 +350,6 @@ func (rt *Router) route(ctx context.Context, key string, offset int, fn func(con
 	attempts := 0
 	var lastErr error
 	for _, ep := range seq {
-		if attempts > budget {
-			break
-		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -428,7 +403,7 @@ func (rt *Router) noteLatency(d time.Duration) {
 }
 
 // hedgeDelay returns how long the primary may run before the backup
-// fires: the HedgeQuantile of recent successful latencies, floored at
+// fires: the hedgeQuantile of recent successful latencies, floored at
 // HedgeMinDelay (which stands alone until enough samples exist).
 func (rt *Router) hedgeDelay() time.Duration {
 	rt.mu.Lock()
@@ -439,7 +414,7 @@ func (rt *Router) hedgeDelay() time.Duration {
 		return rt.hedgeMinDelay
 	}
 	sort.Float64s(samples)
-	i := int(float64(n)*rt.hedgeQuantile+0.5) - 1
+	i := int(float64(n)*hedgeQuantile+0.5) - 1
 	if i < 0 {
 		i = 0
 	}
@@ -534,11 +509,8 @@ func (rt *Router) assess(ctx context.Context, id string, req *serve.AssessReques
 				firstErr = r.err
 			}
 			if outstanding == 0 {
-				if !hedged {
-					// The primary walked the whole sequence and failed
-					// before the hedge armed; a backup would only repeat it.
-					return nil, firstErr
-				}
+				// Every side failed; an unhedged primary walked the whole
+				// sequence, so a backup would only repeat it.
 				return nil, firstErr
 			}
 			// One side failed while the other is still running: let the
