@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race race-obs chaos chaos-cluster fuzz-seed eval-sweep bench bench-workers bench-obs serve-smoke crash-smoke bench-serve bench-batch bench-shard clean
+.PHONY: ci vet lint build test race race-obs race-pools chaos chaos-cluster fuzz-seed eval-sweep bench bench-workers bench-obs serve-smoke crash-smoke bench-serve bench-batch bench-shard clean
 
 ci: vet build test race chaos fuzz-seed
 
@@ -42,6 +42,13 @@ race:
 race-obs:
 	$(GO) test -race ./internal/obs
 	$(GO) test -race -run 'TestAssessChangeInstrumentedEquivalence' .
+
+# Pool-safety tests of the process-wide sampling arenas
+# (internal/core/pool_test.go) under the race detector, repeated so
+# arenas cross goroutines and shapes in many schedules: every result
+# equals its cold computation, held results never change.
+race-pools:
+	$(GO) test -race -count=10 -run 'TestPool' ./internal/core
 
 # Chaos suite under the race detector: every fault injector through the
 # pipeline (result or typed Degraded reason, clean inputs bit-identical

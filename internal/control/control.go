@@ -251,15 +251,19 @@ func (s *Selector) Select(studyIDs []string) ([]string, error) {
 		}
 		c := s.Net.MustElement(id)
 		matched := false
-		var dsum float64
 		for _, se := range study {
 			if s.Predicate.Matches(se, c) {
 				matched = true
 			}
-			dsum += netsim.DistanceKm(se.Location, c.Location)
 		}
 		if !matched {
 			continue
+		}
+		// Distances only for matches: the haversine is the costly part
+		// of selection, and most of a network fails the predicate.
+		var dsum float64
+		for _, se := range study {
+			dsum += netsim.DistanceKm(se.Location, c.Location)
 		}
 		cands = append(cands, cand{id: id, dist: dsum / float64(len(study))})
 	}

@@ -1,6 +1,9 @@
 package control
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -284,5 +287,90 @@ func TestSelectorExplicitExclude(t *testing.T) {
 	}
 	if len(got) != 10 {
 		t.Errorf("control group = %d, want 10", len(got))
+	}
+}
+
+// bruteForceSelect is the reference Selector.Select: every candidate's
+// mean distance to the study group is computed whether or not the
+// predicate matches, then matches are filtered, ordered by distance
+// with ID tie-breaks and capped at maxSize.
+func bruteForceSelect(net *netsim.Network, pred Predicate, studyIDs []string, maxSize int) []string {
+	excluded := map[string]bool{}
+	for _, id := range studyIDs {
+		excluded[id] = true
+		for _, d := range net.Descendants(id) {
+			excluded[d] = true
+		}
+		for _, a := range net.Ancestors(id) {
+			excluded[a] = true
+		}
+	}
+	type cand struct {
+		id   string
+		dist float64
+	}
+	var cands []cand
+	for _, id := range net.IDs() {
+		c := net.MustElement(id)
+		var dsum float64
+		matched := false
+		for _, sid := range studyIDs {
+			se := net.MustElement(sid)
+			dsum += netsim.DistanceKm(se.Location, c.Location)
+			matched = matched || pred.Matches(se, c)
+		}
+		if matched && !excluded[id] {
+			cands = append(cands, cand{id, dsum / float64(len(studyIDs))})
+		}
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].dist != cands[j].dist {
+			return cands[i].dist < cands[j].dist
+		}
+		return cands[i].id < cands[j].id
+	})
+	out := []string{}
+	for i := 0; i < len(cands) && i < maxSize; i++ {
+		out = append(out, cands[i].id)
+	}
+	return out
+}
+
+// TestSelectMatchesBruteForce pins Select, which computes distances only
+// for matching candidates, to the compute-everything reference on two
+// topologies, three predicates and both the default and a binding
+// MaxSize.
+func TestSelectMatchesBruteForce(t *testing.T) {
+	preds := []Predicate{
+		And(SameKind(), SameParent()),
+		And(SameKind(), SameRegion()),
+		WithinKm(50),
+	}
+	for _, seed := range []int64{17, 29} {
+		cfg := netsim.DefaultTopologyConfig()
+		cfg.Seed = seed
+		net := netsim.Build(cfg)
+		rnc := net.OfKind(netsim.RNC)[0]
+		studies := [][]string{net.Children(rnc)[:3], net.Children(rnc)[:1]}
+		for _, pred := range preds {
+			for _, study := range studies {
+				for _, maxSize := range []int{0, 5} {
+					capSize := maxSize
+					if capSize == 0 {
+						capSize = DefaultMaxSize
+					}
+					want := bruteForceSelect(net, pred, study, capSize)
+					s := &Selector{Net: net, Predicate: pred, MaxSize: maxSize}
+					got, err := s.Select(study)
+					name := fmt.Sprintf("seed %d %s study %v max %d", seed, pred.Name(), study, maxSize)
+					if err != nil {
+						t.Fatalf("%s: %v (reference selects %d)", name, err, len(want))
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: Select = %v, reference %v", name, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -157,9 +157,6 @@ type Assessor struct {
 	// obs is the optional observability scope; nil (the default) is the
 	// zero-overhead fast path. See WithObserver.
 	obs *obs.Scope
-	// rt carries the scratch-arena pool (see scratch.go); shared by
-	// WithObserver-derived assessors.
-	rt *runtimeState
 }
 
 // NewAssessor returns an assessor with cfg (zero fields defaulted). It
@@ -168,7 +165,7 @@ func NewAssessor(cfg Config) (*Assessor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Assessor{cfg: cfg.withDefaults(), rt: newRuntimeState()}, nil
+	return &Assessor{cfg: cfg.withDefaults()}, nil
 }
 
 // MustNewAssessor is NewAssessor for known-good configurations.
@@ -193,7 +190,7 @@ func (a *Assessor) WithObserver(scope *obs.Scope) *Assessor {
 	if scope == nil {
 		return a
 	}
-	return &Assessor{cfg: a.cfg, obs: scope, rt: a.rt}
+	return &Assessor{cfg: a.cfg, obs: scope}
 }
 
 // Observer returns the scope the assessor records into (nil when
@@ -268,35 +265,21 @@ func (a *Assessor) AssessElementContext(ctx context.Context, elementID string, s
 	}
 
 	fits := a.runIterations(ctx, sc, xbFull, xaFull, fitRows, ybFit, k, yBefore.Len(), yAfter.Len())
+	defer fits.release()
 	if err := ctx.Err(); err != nil {
 		return ElementResult{}, err
 	}
 	sc.Counter(obs.MetricIterations).Add(int64(a.cfg.Iterations))
 	sc.Counter(obs.MetricControlsSampled).Add(int64(a.cfg.Iterations * k))
-	return a.finishElement(sc, elementID, metric, yBefore, yAfter, fits)
+	return a.finishElement(sc, elementID, metric, yBefore, yAfter, fits.slots)
 }
 
 // iterFit is one sampling iteration's output: the before/after forecasts
-// (arena-backed; see runIterations) and the fit quality.
+// (arena-backed; see getIterFits) and the fit quality.
 type iterFit struct {
 	fb, fa []float64
 	r2     float64
 	ok     bool
-}
-
-// newIterFits builds the per-iteration fit slots with the forecast
-// vectors carved out of one arena allocation — iteration it owns slot it
-// exclusively, so the worker fan-out writes race-free and the whole batch
-// costs two allocations instead of two per iteration.
-func newIterFits(iters, lenB, lenA int) []iterFit {
-	fits := make([]iterFit, iters)
-	arena := make([]float64, iters*(lenB+lenA))
-	for it := range fits {
-		off := it * (lenB + lenA)
-		fits[it].fb = arena[off : off+lenB : off+lenB]
-		fits[it].fa = arena[off+lenB : off+lenB+lenA : off+lenB+lenA]
-	}
-	return fits
 }
 
 // runIterations fans the sampling iterations out over the worker pool.
@@ -306,11 +289,12 @@ func newIterFits(iters, lenB, lenA int) []iterFit {
 // The shared inputs (xbFull, xaFull, ybFit, fitRows) are only read; all
 // mutable state lives in per-worker scratch arenas. A cancelable ctx is
 // polled before each iteration so canceled assessments drain fast; a
-// background context skips the poll (nil Done channel).
-func (a *Assessor) runIterations(ctx context.Context, sc *obs.Scope, xbFull, xaFull *linalg.Matrix, fitRows []int, ybFit []float64, k, lenB, lenA int) []iterFit {
+// background context skips the poll (nil Done channel). The caller
+// releases the returned fits once it built the element result.
+func (a *Assessor) runIterations(ctx context.Context, sc *obs.Scope, xbFull, xaFull *linalg.Matrix, fitRows []int, ybFit []float64, k, lenB, lenA int) *iterFits {
 	iters := a.cfg.Iterations
 	samples := a.samplesFor(xbFull.Cols(), k)
-	fits := newIterFits(iters, lenB, lenA)
+	fits := getIterFits(iters, lenB, lenA)
 	allRowsFit := len(fitRows) == lenB
 	cancelable := ctx.Done() != nil
 	var factorized, leverageSkipped, resampled atomic.Int64
@@ -320,7 +304,7 @@ func (a *Assessor) runIterations(ctx context.Context, sc *obs.Scope, xbFull, xaF
 		if cancelable && ctx.Err() != nil {
 			return
 		}
-		s := ws.get(a.rt, w)
+		s := ws.get(w)
 		cols := samples[it]
 		var xb, xfit *linalg.Matrix
 		solved := false
@@ -353,10 +337,11 @@ func (a *Assessor) runIterations(ctx context.Context, sc *obs.Scope, xbFull, xaF
 		if !solved {
 			return
 		}
+		fit := &fits.slots[it]
 		xa := xaFull.SelectColsWithIntercept(&s.xa, cols)
-		fb := xb.MulVecInto(fits[it].fb, s.beta)
-		xa.MulVecInto(fits[it].fa, s.beta)
-		fits[it].r2 = rSquaredAtRows(fb, fitRows, ybFit)
+		fb := xb.MulVecInto(fit.fb, s.beta)
+		xa.MulVecInto(fit.fa, s.beta)
+		fit.r2 = rSquaredAtRows(fb, fitRows, ybFit)
 		// In-sample residuals are optimistically small, which would make
 		// the before-window forecast differences artificially tight and
 		// manufacture significance. Replace the fitted values at fitted
@@ -369,10 +354,10 @@ func (a *Assessor) runIterations(ctx context.Context, sc *obs.Scope, xbFull, xaF
 		} else {
 			leverageSkipped.Add(1)
 		}
-		fits[it].ok = true
+		fit.ok = true
 	})
 	sampling.End()
-	ws.release(a.rt)
+	ws.release()
 	sc.Counter(obs.MetricBeforeFactorizations).Add(factorized.Load())
 	sc.Counter(obs.MetricLeverageSkipped).Add(leverageSkipped.Load())
 	sc.Counter(obs.MetricIterationsResampled).Add(resampled.Load())
@@ -540,6 +525,11 @@ func (a *Assessor) assessGroup(ctx context.Context, job GroupJob, pf *panelFacto
 	errs := make([]error, len(ids))
 	gs := a.prepGroupShared(ctx, sc, pf, studies, controls, changeAt)
 	if gs != nil {
+		if pf == nil {
+			// Factors prepared here have no reader past the element loop;
+			// adopted ones belong to AssessGroups.
+			defer gs.release()
+		}
 		// Cross-element sharing: the per-iteration factorizations were
 		// computed once above (see group_shared.go); qualifying elements
 		// reuse them read-only and parallelize over iterations instead of

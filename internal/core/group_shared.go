@@ -39,19 +39,23 @@ import (
 // iterShared is one sampling iteration's element-independent products.
 // All fields are read-only after prepPanelFactors returns; SolveInto and
 // LeveragesInto only read the factorization, so concurrent solves against
-// one iterShared are safe.
+// one iterShared are safe. The designs, factorization and buffers are
+// held by value so a pooled panelFactors reuses their storage.
 type iterShared struct {
-	xb, xa *linalg.Matrix // sampled before/after designs (with intercept)
-	qr     *linalg.QR     // factorization of xb
-	hs     []float64      // hat-matrix diagonal of xb; nil if rank deficient
-	ok     bool           // false for underdetermined draws (skipped)
+	xb, xa linalg.Matrix // sampled before/after designs (with intercept)
+	qr     linalg.QR     // factorization of xb
+	hs     []float64     // hat-matrix diagonal of xb; nil if rank deficient
+	hsBuf  []float64     // storage behind hs
+	work   []float64     // leverage forward-solve work vector
+	ok     bool          // false for underdetermined draws (skipped)
 }
 
 // panelFactors is the studies-independent portion of a group's shared
 // preparation: everything derived from (control panel, change time,
 // assessor config) alone. One panelFactors is reusable read-only by
 // every group — and every change — assessed against a value-identical
-// control panel at the same change time.
+// control panel at the same change time. It comes from a process-wide
+// pool (see getPanelFactors) and goes back once its last reader returned.
 type panelFactors struct {
 	fitRows    []int
 	iters      []iterShared
@@ -146,13 +150,7 @@ func (a *Assessor) prepPanelFactors(ctx context.Context, sc *obs.Scope, controls
 
 	prep := sc.Child(obs.SpanGroupPrep)
 	defer prep.End()
-	pf := &panelFactors{
-		fitRows: make([]int, lenB),
-		iters:   make([]iterShared, a.cfg.Iterations),
-	}
-	for i := range pf.fitRows {
-		pf.fitRows[i] = i
-	}
+	pf := getPanelFactors(a.cfg.Iterations, lenB)
 	xbFull := xBefore.DesignMatrix()
 	xaFull := xAfter.DesignMatrix()
 	samples := a.samplesFor(n, k)
@@ -165,18 +163,18 @@ func (a *Assessor) prepPanelFactors(ctx context.Context, sc *obs.Scope, controls
 		st := &pf.iters[it]
 		cols := samples[it]
 		for attempt := 0; ; attempt++ {
-			st.xb = xbFull.SelectColsWithIntercept(nil, cols)
-			if st.xb.Rows() < st.xb.Cols() {
+			xb := xbFull.SelectColsWithIntercept(&st.xb, cols)
+			if xb.Rows() < xb.Cols() {
 				// Underdetermined draw: resampling cannot change the shape;
 				// the per-element path skips it too.
 				return
 			}
-			st.qr = linalg.NewQRInPlace(st.xb, st.qr)
+			st.qr.Factor(xb)
 			factorized.Add(1)
 			// The solver chain's failure conditions depend on the design
 			// alone, so the group decides accept/resample once, exactly as
 			// every element would alone (see resample.go).
-			if designUsable(st.qr, st.xb) {
+			if designUsable(&st.qr, xb) {
 				break
 			}
 			if attempt >= maxResampleAttempts {
@@ -185,11 +183,11 @@ func (a *Assessor) prepPanelFactors(ctx context.Context, sc *obs.Scope, controls
 			cols = a.resampleColumns(n, k, it, attempt+1)
 			resampled.Add(1)
 		}
-		st.xa = xaFull.SelectColsWithIntercept(nil, cols)
-		hs := make([]float64, st.xb.Rows())
-		work := make([]float64, st.xb.Cols())
-		if err := st.qr.LeveragesInto(hs, st.xb, work); err == nil {
-			st.hs = hs
+		xaFull.SelectColsWithIntercept(&st.xa, cols)
+		st.hsBuf = growFloats(st.hsBuf, st.xb.Rows())
+		st.work = growFloats(st.work, st.xb.Cols())
+		if err := st.qr.LeveragesInto(st.hsBuf, &st.xb, st.work); err == nil {
+			st.hs = st.hsBuf
 		}
 		st.ok = true
 	})
@@ -225,6 +223,7 @@ type GroupJob struct {
 // each job would compute alone.
 func (a *Assessor) AssessGroups(ctx context.Context, jobs []GroupJob) (results []GroupResult, errs []error, reused int64) {
 	shared := make([]*panelFactors, len(jobs))
+	var prepared []*panelFactors
 	for _, members := range factorGroups(jobs) {
 		if len(members) < 2 {
 			continue
@@ -234,6 +233,7 @@ func (a *Assessor) AssessGroups(ctx context.Context, jobs []GroupJob) (results [
 		if pf == nil {
 			continue
 		}
+		prepared = append(prepared, pf)
 		reused += int64(len(members)) * pf.factorized
 		for _, m := range members {
 			shared[m] = pf
@@ -248,6 +248,9 @@ func (a *Assessor) AssessGroups(ctx context.Context, jobs []GroupJob) (results [
 		}
 		results[i], errs[i] = a.assessGroup(ctx, j, shared[i])
 	})
+	for _, pf := range prepared {
+		pf.release()
+	}
 	return results, errs, reused
 }
 
@@ -367,7 +370,8 @@ func (a *Assessor) assessElementShared(ctx context.Context, elementID string, st
 	ybFit := yBefore.Values
 
 	iters := a.cfg.Iterations
-	fits := newIterFits(iters, yBefore.Len(), yAfter.Len())
+	fits := getIterFits(iters, yBefore.Len(), yAfter.Len())
+	defer fits.release()
 	cancelable := ctx.Done() != nil
 	var leverageSkipped atomic.Int64
 	ws := newWorkerScratches(a.cfg.Workers, iters)
@@ -380,30 +384,31 @@ func (a *Assessor) assessElementShared(ctx context.Context, elementID string, st
 		if !st.ok {
 			return
 		}
-		s := ws.get(a.rt, w)
+		s := ws.get(w)
 		s.beta = growFloats(s.beta, st.xb.Cols())
 		s.swork = growFloats(s.swork, st.xb.Rows())
 		// The same degradation chain as the per-element path; prep accepted
 		// this design via designUsable, so one of the stages succeeds.
-		if !solveWithFallbacks(st.qr, st.xb, s.beta, ybFit, s.swork) {
+		if !solveWithFallbacks(&st.qr, &st.xb, s.beta, ybFit, s.swork) {
 			return
 		}
-		fb := st.xb.MulVecInto(fits[it].fb, s.beta)
-		st.xa.MulVecInto(fits[it].fa, s.beta)
-		fits[it].r2 = rSquaredAtRows(fb, gs.fitRows, ybFit)
+		fit := &fits.slots[it]
+		fb := st.xb.MulVecInto(fit.fb, s.beta)
+		st.xa.MulVecInto(fit.fa, s.beta)
+		fit.r2 = rSquaredAtRows(fb, gs.fitRows, ybFit)
 		if st.hs != nil {
 			adjustLOO(fb, ybFit, gs.fitRows, st.hs)
 		} else {
 			leverageSkipped.Add(1)
 		}
-		fits[it].ok = true
+		fit.ok = true
 	})
 	sampling.End()
-	ws.release(a.rt)
+	ws.release()
 	if err := ctx.Err(); err != nil {
 		return ElementResult{}, err
 	}
 	sc.Counter(obs.MetricIterations).Add(int64(iters))
 	sc.Counter(obs.MetricLeverageSkipped).Add(leverageSkipped.Load())
-	return a.finishElement(sc, elementID, metric, yBefore, yAfter, fits)
+	return a.finishElement(sc, elementID, metric, yBefore, yAfter, fits.slots)
 }

@@ -248,6 +248,40 @@ func TestAssessElementAllocs(t *testing.T) {
 	}
 }
 
+// TestAssessGroupAllocs pins the allocation budget in the service's
+// shape: a fresh assessor per call, as the service builds per job, on
+// the group-shared path. The process-wide arenas keep the marginal cost
+// of an extra sampling iteration (amortized) zero even though no arena
+// survives on the assessor; an assessor-owned pool paid ~9 per
+// iteration here.
+func TestAssessGroupAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	studies, controls, changeAt := groupWorld(25)
+	measure := func(iters int) float64 {
+		cfg := Config{Workers: 1, Iterations: iters}
+		assess := func() {
+			if _, err := MustNewAssessor(cfg).AssessGroup(studies, controls, changeAt, kpi.VoiceRetainability); err != nil {
+				t.Fatal(err)
+			}
+		}
+		assess() // warm the sample table and the arenas
+		return testing.AllocsPerRun(20, assess)
+	}
+
+	a50, a200 := measure(50), measure(200)
+	perIter := (a200 - a50) / 150
+	t.Logf("allocations per call: %.0f at 50 iterations, %.0f at 200", a50, a200)
+	// Amortized-zero with slack for the odd sync.Pool eviction under GC.
+	if perIter > 0.5 {
+		t.Errorf("marginal allocations per sampling iteration = %.2f (50 iters: %.0f, 200 iters: %.0f), want ~0", perIter, a50, a200)
+	}
+	if a50 > 200 {
+		t.Errorf("allocations per call at 50 iterations = %.0f, want <= 200", a50)
+	}
+}
+
 // groupWorld builds a no-missing-data panel group: every study element's
 // before window is fully observed, so AssessGroup must take the shared-
 // factorization path.

@@ -88,6 +88,7 @@ type Generator struct {
 
 	regional map[netsim.Region][]float64 // cached regional stress paths
 	counters map[string][]kpi.Counters   // cached per-element counters
+	rng      *rand.Rand                  // reseeded per stream; see seeded
 }
 
 // New returns a Generator for the network under cfg. Callers should
@@ -107,6 +108,7 @@ func New(net *netsim.Network, cfg Config) *Generator {
 		cfg:      cfg,
 		regional: make(map[netsim.Region][]float64),
 		counters: make(map[string][]kpi.Counters),
+		rng:      rand.New(rand.NewSource(0)),
 	}
 }
 
@@ -132,13 +134,25 @@ func (g *Generator) hashSeed(parts ...string) int64 {
 	return int64(h.Sum64())
 }
 
+// seeded reseeds the generator's one RNG for the stream named by parts
+// and returns it. Seed resets the source exactly as rand.NewSource does,
+// so the draws equal those of rand.New(rand.NewSource(hashSeed(parts)))
+// without allocating a fresh 4.9 KB source per (element, purpose) pair.
+// Only one stream is live at a time: a caller finishes its draws before
+// the next seeded call, and a Generator is single-goroutine (its caches
+// are unsynchronized maps).
+func (g *Generator) seeded(parts ...string) *rand.Rand {
+	g.rng.Seed(g.hashSeed(parts...))
+	return g.rng
+}
+
 // regionalStress returns (computing once) the shared AR(1) stress path of
 // a region.
 func (g *Generator) regionalStress(r netsim.Region) []float64 {
 	if path, ok := g.regional[r]; ok {
 		return path
 	}
-	rng := rand.New(rand.NewSource(g.hashSeed("region", string(r))))
+	rng := g.seeded("region", string(r))
 	n := g.cfg.Index.N
 	path := make([]float64, n)
 	// Stationary start.
@@ -159,7 +173,7 @@ func (g *Generator) sensitivity(id string) float64 {
 	if s, ok := g.cfg.SensitivityOverrides[id]; ok {
 		return s
 	}
-	rng := rand.New(rand.NewSource(g.hashSeed("sens", id)))
+	rng := g.seeded("sens", id)
 	return 1 + (rng.Float64()*2-1)*g.cfg.SensitivitySpread
 }
 
@@ -178,7 +192,7 @@ type baseRates struct {
 // ratesFor derives an element's baseline rates from its kind and identity.
 // Controllers and core elements aggregate more traffic than single towers.
 func (g *Generator) ratesFor(e *netsim.Element) baseRates {
-	rng := rand.New(rand.NewSource(g.hashSeed("base", e.ID)))
+	rng := g.seeded("base", e.ID)
 	scale := 1.0
 	switch {
 	case e.Kind == netsim.Cell:
@@ -223,10 +237,12 @@ func (g *Generator) Counters(id string) []kpi.Counters {
 		return cs
 	}
 	e := g.net.MustElement(id)
+	// Each helper draws from its own stream of the shared RNG, so the
+	// "series" stream is seeded only after they are done.
 	rates := g.ratesFor(e)
-	rng := rand.New(rand.NewSource(g.hashSeed("series", id)))
 	regional := g.regionalStress(e.Region)
 	sens := g.sensitivity(id)
+	rng := g.seeded("series", id)
 	n := g.cfg.Index.N
 	stepHours := g.cfg.Index.Step.Hours()
 	out := make([]kpi.Counters, n)

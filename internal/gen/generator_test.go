@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -494,5 +495,25 @@ func TestScaleWithSensitivityEffect(t *testing.T) {
 	}
 	if dh, dc := drop(hot), drop(cold); dh < dc+0.01 {
 		t.Errorf("sensitivity-scaled effect: hot drop %v should exceed cold drop %v", dh, dc)
+	}
+}
+
+// TestSeededMatchesFreshSource pins the reseeding contract: the one
+// reused RNG, reseeded for a stream after draws from other streams,
+// yields exactly the draws of a freshly allocated source for that seed.
+func TestSeededMatchesFreshSource(t *testing.T) {
+	g := New(testNetwork(), DefaultConfig(dailyIndex(10)))
+	streams := [][]string{{"base", "nb1"}, {"region", "northeast"}, {"sens", "nb1"}, {"series", "nb1"}, {"base", "nb1"}}
+	for _, parts := range streams {
+		fresh := rand.New(rand.NewSource(g.hashSeed(parts...)))
+		reused := g.seeded(parts...)
+		for i := 0; i < 200; i++ {
+			a, b := fresh.NormFloat64(), reused.NormFloat64()
+			c, d := fresh.Float64(), reused.Float64()
+			if a != b || c != d {
+				t.Fatalf("stream %v draw %d: reseeded %v/%v, fresh source %v/%v", parts, i, b, d, a, c)
+			}
+		}
+		reused.Intn(7) // leave the shared source mid-stream for the next seeding
 	}
 }
