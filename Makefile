@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race race-obs race-pools chaos chaos-cluster fuzz-seed eval-sweep bench bench-workers bench-obs serve-smoke crash-smoke bench-serve bench-batch bench-shard clean
+.PHONY: ci vet lint build test race race-obs race-pools race-wait chaos chaos-cluster fuzz-seed eval-sweep bench bench-workers bench-obs serve-smoke crash-smoke bench-serve bench-batch bench-shard clean
 
 ci: vet build test race chaos fuzz-seed
 
@@ -49,6 +49,13 @@ race-obs:
 # equals its cold computation, held results never change.
 race-pools:
 	$(GO) test -race -count=10 -run 'TestPool' ./internal/core
+
+# The wait-on-result protocol and the breaker's probe slot under the
+# race detector, repeated: waiters woken by completion, expiry, a gone
+# client, a hard stop and a failed run's rerun; the client's two-request
+# path and its 409 fallback; a canceled half-open probe freeing its slot.
+race-wait:
+	$(GO) test -race -count=5 -run 'Wait|Probe' ./internal/serve/...
 
 # Chaos suite under the race detector: every fault injector through the
 # pipeline (result or typed Degraded reason, clean inputs bit-identical

@@ -22,6 +22,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/randsrc"
 )
 
 // DefaultWorkers returns the default worker-pool size: the number of
@@ -97,9 +99,11 @@ func deriveSeed(seed int64, stream uint64) int64 {
 
 // iterRNG returns the private generator for one sampling iteration. The
 // generator depends only on (seed, iteration) — the seeding contract the
-// package documentation describes.
+// package documentation describes. Its draws are those of
+// rand.NewSource(deriveSeed(seed, iteration)); randsrc only seeds them
+// faster.
 func iterRNG(seed int64, iteration int) *rand.Rand {
-	return rand.New(rand.NewSource(deriveSeed(seed, uint64(iteration))))
+	return rand.New(randsrc.New(deriveSeed(seed, uint64(iteration))))
 }
 
 // permInto fills p with a uniform permutation of [0, len(p)), consuming

@@ -22,6 +22,7 @@ import (
 	"math/rand"
 
 	"repro/internal/linalg"
+	"repro/internal/randsrc"
 )
 
 // maxResampleAttempts bounds the redraws of one sampling iteration whose
@@ -39,7 +40,7 @@ func resampleStream(it, attempt int) uint64 {
 // deterministic in (Seed, it, attempt) under the same derivation
 // contract as the primary draws.
 func (a *Assessor) resampleColumns(n, k, it, attempt int) []int {
-	rng := rand.New(rand.NewSource(deriveSeed(a.cfg.Seed, resampleStream(it, attempt))))
+	rng := rand.New(randsrc.New(deriveSeed(a.cfg.Seed, resampleStream(it, attempt))))
 	return sampleColumns(rng, n, k)
 }
 

@@ -19,7 +19,7 @@ package core
 //     iteration it draws depend only on (Seed, it, n, k) — never on the
 //     element — so they are computed once per (Seed, Iterations, n, k)
 //     and shared read-only across every element, KPI, assessor and
-//     request, which hoists the rand.NewSource seeding out of the hot loop.
+//     request, which hoists the per-iteration seeding out of the hot loop.
 //
 // Reset and lifetime rules for pooled storage: a canceled or
 // underdetermined iteration writes nothing, so every reused slot's

@@ -16,7 +16,10 @@
 //	                             cached entries are not recomputed
 //	GET  /v1/jobs/{id}           job status
 //	GET  /v1/jobs/{id}/result    canonical assessment document (200 when
-//	                             done, 409 while pending, 500 when failed)
+//	                             done, 409 while pending, 500 when failed);
+//	                             with ?wait=<duration> it blocks until the
+//	                             job finishes (200/500) or the wait, capped
+//	                             at MaxResultWait, expires (202 + status)
 //	GET  /v1/jobs/{id}/trace     execution trace: queue-wait vs run
 //	                             timings, the degradations of a partial
 //	                             result, and the span tree

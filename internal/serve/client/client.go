@@ -1,15 +1,20 @@
 // Package client is the typed Go client for the Litmus assessment
 // service (internal/serve). It wraps the JSON API in three primitives —
-// Submit, Job, Result — plus Assess, a blocking helper that submits,
-// rides out 429 backpressure using the server's Retry-After hint, polls
-// until the job finishes, and returns the canonical assessment
-// document.
+// Submit, Job, Result — plus Assess and AssessBatch, blocking helpers
+// that submit, ride out 429 backpressure using the server's Retry-After
+// hint, and then wait for the answer in the round trip: one
+// GET /v1/jobs/{id}/result?wait=<d> blocks server-side until the job
+// finishes and returns the canonical assessment document, so a job
+// costs two requests and no status polls. Against a server without
+// wait support (it answers 409 while the job is pending) the helpers
+// fall back to re-asking every PollInterval.
 package client
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -25,8 +30,9 @@ type Client struct {
 	baseURL string
 	httpc   *http.Client
 
-	// PollInterval is the job-status polling cadence used by Assess
-	// (default 50ms).
+	// PollInterval is how often Assess and AssessBatch re-ask a server
+	// that does not support ?wait (default 50ms). Against one that does,
+	// it is never used.
 	PollInterval time.Duration
 }
 
@@ -204,8 +210,8 @@ func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
 
 // Assess submits req and blocks until the assessment finishes,
 // returning the canonical result bytes. Queue-full 429s are retried
-// after the server's Retry-After hint; job status is polled at
-// PollInterval. Cancel ctx to give up.
+// after the server's Retry-After hint, and the result is awaited in the
+// round trip (see submitAndWait). Cancel ctx to give up.
 func (c *Client) Assess(ctx context.Context, req *serve.AssessRequest) ([]byte, error) {
 	return c.submitAndWait(ctx, func() (string, error) {
 		sub, err := c.Submit(ctx, req)
@@ -218,41 +224,73 @@ func (c *Client) Assess(ctx context.Context, req *serve.AssessRequest) ([]byte, 
 
 // submitAndWait calls submit until the service accepts it, waiting out
 // each queue-full 429 for the server's Retry-After hint (1s without
-// one), then polls the job at PollInterval and returns its result bytes.
+// one), then fetches the job's result with ?wait until it is there: a
+// 202 (the wait expired first) is reissued at once, and a 409 — a
+// server without wait support — after PollInterval.
 func (c *Client) submitAndWait(ctx context.Context, submit func() (string, error)) ([]byte, error) {
 	var id string
 	for {
 		var err error
-		id, err = submit()
-		if err == nil {
-			break
+		if id == "" {
+			if id, err = submit(); err == nil {
+				continue
+			}
+		} else {
+			b, done, werr := c.waitResult(ctx, id)
+			if done {
+				return b, nil
+			}
+			if err = werr; err == nil {
+				continue
+			}
 		}
-		if !IsBackpressure(err) {
+		var pause time.Duration
+		var apiErr *APIError
+		switch {
+		case IsBackpressure(err):
+			if pause = err.(*APIError).RetryAfter; pause <= 0 {
+				pause = time.Second
+			}
+		case errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusConflict:
+			pause = c.PollInterval
+		default:
 			return nil, err
 		}
-		wait := err.(*APIError).RetryAfter
-		if wait <= 0 {
-			wait = time.Second
-		}
-		if err := sleepCtx(ctx, wait); err != nil {
+		if err := sleepCtx(ctx, pause); err != nil {
 			return nil, err
 		}
 	}
-	for {
-		st, err := c.Job(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		switch st.Status {
-		case "done":
-			return c.Result(ctx, id)
-		case "failed":
-			return nil, fmt.Errorf("job %s failed: %s", id, st.Error)
-		}
-		if err := sleepCtx(ctx, c.PollInterval); err != nil {
-			return nil, err
-		}
+}
+
+// waitResult is one GET /v1/jobs/{id}/result?wait=<d>, the wait being
+// serve.MaxResultWait or the time left before ctx's deadline, whichever
+// is shorter. done reports the result bytes in b; !done with a nil
+// error means the wait expired first. A failed job is reported as a
+// plain error rather than an *APIError, as it was when the failure was
+// read off a status poll: a router treats it as a failoverable node
+// fault (a job canceled by a node's shutdown reruns elsewhere).
+func (c *Client) waitResult(ctx context.Context, id string) (b []byte, done bool, err error) {
+	wait := serve.MaxResultWait
+	if dl, ok := ctx.Deadline(); ok {
+		wait = max(min(wait, time.Until(dl)), 0)
 	}
+	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/result?wait="+wait.Truncate(time.Millisecond).String(), nil)
+	if err != nil {
+		return nil, false, err
+	}
+	defer resp.Body.Close()
+	switch resp.StatusCode {
+	case http.StatusOK:
+		b, err := io.ReadAll(resp.Body)
+		return b, err == nil, err
+	case http.StatusAccepted:
+		return nil, false, nil
+	}
+	err = decodeAPIError(resp)
+	if apiErr := err.(*APIError); apiErr.StatusCode == http.StatusInternalServerError {
+		return nil, false, fmt.Errorf("job %s failed: %s", id, strings.TrimPrefix(apiErr.Message, "job failed: "))
+	}
+	return nil, false, err
 }
 
 // sleepCtx sleeps for d or until ctx is done, returning ctx.Err() on

@@ -1,9 +1,13 @@
 package journal
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -284,88 +288,107 @@ func (j *Journal) Compact() error {
 		return nil // nothing worth rewriting
 	}
 
-	// Sealed segments are immutable, so reading them needs no lock.
-	type ref struct{ seg, idx int }
-	var all [][]Record
-	for _, name := range sealed {
-		data, err := os.ReadFile(name)
+	// Sealed segments are immutable, so reading them needs no lock. The
+	// fold streams through them, reading each frame's kind, flags and
+	// digest and noting where the frame lies; the kept frames are then
+	// copied out by position, so no segment is ever held in memory.
+	files := make([]*os.File, len(sealed))
+	defer func() {
+		for _, f := range files {
+			if f != nil {
+				f.Close()
+			}
+		}
+	}()
+	// loc places one sealed frame; rec holds the decoded record of a
+	// frame with a non-minimal length, which is re-encoded rather than
+	// copied so the compacted segment is always in canonical form.
+	type loc struct {
+		seg  int
+		off  int64
+		size int
+		rec  *Record
+	}
+	type state struct {
+		pending, done       int // indexes into locs, valid when hasPending/hasDone
+		hasPending, hasDone bool
+	}
+	var locs []loc // every sealed frame, in append order
+	states := map[string]*state{}
+	var done []*state // digests with a done complete
+	for si, name := range sealed {
+		f, err := os.Open(name)
 		if err != nil {
 			return fmt.Errorf("journal: reading segment: %w", err)
 		}
-		recs, _, derr := DecodeSegment(data)
-		if derr == ErrBadMagic {
-			recs = nil
+		files[si] = f
+		fi, err := f.Stat()
+		if err != nil {
+			return fmt.Errorf("journal: reading segment: %w", err)
 		}
-		all = append(all, recs)
-	}
+		sc, err := newFrameScanner(f, fi.Size())
+		if err == ErrBadMagic {
+			continue
+		}
+		for {
+			off := sc.off
+			fr, err := sc.next()
+			if err == io.EOF {
+				break
+			}
+			var corrupt *CorruptError
+			if errors.As(err, &corrupt) {
+				break // the clean prefix is all this segment holds
+			}
+			if err != nil {
+				return err
+			}
+			l := loc{seg: si, off: off, size: int(sc.off - off)}
+			if !fr.minimal {
+				rec := fr.record()
+				l.rec = &rec
+			}
+			locs = append(locs, l)
 
-	// Fold each digest's events in order down to its final state.
-	type state struct {
-		pending                     ref // last submit, valid when hasPending
-		done                        ref // newest done complete, valid when hasDone
-		hasPending, hasDone, failed bool
-	}
-	states := map[string]*state{}
-	var doneOrder []string // digests in order of their newest done complete
-	for si, recs := range all {
-		for ri, rec := range recs {
-			st := states[rec.Digest]
+			// Fold each digest's events in order down to its final state:
+			// the frame of its surviving submit and of its newest done
+			// complete.
+			i := len(locs) - 1
+			st := states[string(fr.digest)]
 			if st == nil {
 				st = &state{}
-				states[rec.Digest] = st
+				states[string(fr.digest)] = st
 			}
 			switch {
-			case rec.Kind == KindSubmit || rec.Kind == KindBatchSubmit:
-				st.pending, st.hasPending, st.failed = ref{si, ri}, true, false
-			case rec.Canceled:
+			case fr.kind == KindSubmit || fr.kind == KindBatchSubmit:
+				st.pending, st.hasPending = i, true
+			case fr.flags&flagCanceled != 0:
 				// Cancellation keeps the digest pending; the marker itself
 				// never survives compaction.
-			case rec.Failed:
-				st.hasPending, st.failed = false, true
+			case fr.flags&flagFailed != 0:
+				st.hasPending = false
 			default: // done
-				st.done, st.hasDone = ref{si, ri}, true
-				st.hasPending, st.failed = false, false
-				doneOrder = append(doneOrder, rec.Digest)
+				if !st.hasDone {
+					done = append(done, st)
+				}
+				st.done, st.hasDone, st.hasPending = i, true, false
 			}
 		}
 	}
-	// Expire all but the newest RetainResults done digests. doneOrder
-	// lists every done complete in append order; ranking by a digest's
-	// last appearance ranks by its newest result.
-	lastPos := map[string]int{}
-	for i, d := range doneOrder {
-		lastPos[d] = i
+	// Expire all but the newest RetainResults done digests, ranked by
+	// the position of their newest done complete.
+	sort.Slice(done, func(a, b int) bool { return done[a].done < done[b].done })
+	if drop := len(done) - j.opts.RetainResults; drop > 0 {
+		done = done[drop:]
 	}
-	var doneDigests []string
-	for d, st := range states {
-		if st.hasDone {
-			doneDigests = append(doneDigests, d)
-		}
-	}
-	sort.Slice(doneDigests, func(a, b int) bool { return lastPos[doneDigests[a]] < lastPos[doneDigests[b]] })
-	expired := map[string]bool{}
-	if drop := len(doneDigests) - j.opts.RetainResults; drop > 0 {
-		for _, d := range doneDigests[:drop] {
-			expired[d] = true
-		}
-	}
-
-	keep := map[ref]bool{}
-	for d, st := range states {
+	keep := make([]bool, len(locs))
+	for _, st := range states {
 		if st.hasPending {
 			keep[st.pending] = true
 		}
-		if st.hasDone && !expired[d] {
-			keep[st.done] = true
-		}
 	}
-	var out []Record
-	for si, recs := range all {
-		for ri, rec := range recs {
-			if keep[ref{si, ri}] {
-				out = append(out, rec)
-			}
-		}
+	for _, st := range done {
+		keep[st.done] = true
 	}
 
 	tmpPath := filepath.Join(j.opts.Dir, compactTmp)
@@ -373,15 +396,27 @@ func (j *Journal) Compact() error {
 	if err != nil {
 		return fmt.Errorf("journal: creating compaction temp: %w", err)
 	}
-	buf := []byte(Magic)
-	for i := range out {
-		if buf, err = appendFrame(buf, &out[i]); err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return err
+	w := bufio.NewWriterSize(tmp, 64<<10)
+	_, err = w.WriteString(Magic)
+	var buf []byte
+	for i, l := range locs {
+		if err != nil || !keep[i] {
+			continue
 		}
+		if l.rec != nil {
+			buf, _ = appendFrame(buf[:0], l.rec) // cannot fail: the frame parsed within bounds
+		} else {
+			buf = slices.Grow(buf[:0], l.size)[:l.size]
+			if _, err = files[l.seg].ReadAt(buf, l.off); err != nil {
+				continue
+			}
+		}
+		_, err = w.Write(buf)
 	}
-	if _, err := tmp.Write(buf); err == nil {
+	if err == nil {
+		err = w.Flush()
+	}
+	if err == nil {
 		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {

@@ -50,10 +50,14 @@
 package journal
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"slices"
 )
 
 // Magic identifies a version-1 journal segment.
@@ -144,7 +148,17 @@ func (e *CorruptError) Error() string {
 	return fmt.Sprintf("journal: corrupt frame at offset %d: %s", e.Offset, e.Reason)
 }
 
-// appendFrame encodes rec as one frame onto buf.
+// uvarintLen is the length of x's minimal uvarint encoding.
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
+// appendFrame encodes rec as one frame onto buf, growing buf at most
+// once: the frame is written in place and checksummed where it lies.
 func appendFrame(buf []byte, rec *Record) ([]byte, error) {
 	if !rec.Kind.valid() {
 		return buf, fmt.Errorf("journal: invalid record kind %d", rec.Kind)
@@ -165,57 +179,137 @@ func appendFrame(buf []byte, rec *Record) ([]byte, error) {
 	if rec.Canceled {
 		flags |= flagCanceled
 	}
-	body := make([]byte, 0, 2+2*binary.MaxVarintLen64+len(rec.Digest)+len(rec.Payload))
-	body = append(body, byte(rec.Kind), flags)
-	body = binary.AppendUvarint(body, uint64(len(rec.Digest)))
-	body = append(body, rec.Digest...)
-	body = binary.AppendUvarint(body, uint64(len(rec.Payload)))
-	body = append(body, rec.Payload...)
-
-	buf = binary.AppendUvarint(buf, uint64(len(body)))
-	buf = append(buf, body...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(body))
+	bodyLen := 2 + uvarintLen(uint64(len(rec.Digest))) + len(rec.Digest) + uvarintLen(uint64(len(rec.Payload))) + len(rec.Payload)
+	buf = slices.Grow(buf, uvarintLen(uint64(bodyLen))+bodyLen+4)
+	buf = binary.AppendUvarint(buf, uint64(bodyLen))
+	start := len(buf)
+	buf = append(buf, byte(rec.Kind), flags)
+	buf = binary.AppendUvarint(buf, uint64(len(rec.Digest)))
+	buf = append(buf, rec.Digest...)
+	buf = binary.AppendUvarint(buf, uint64(len(rec.Payload)))
+	buf = append(buf, rec.Payload...)
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 	return buf, nil
 }
 
-// decodeBody parses one frame body into a Record. The caller has
-// already verified the checksum, so errors here mean the frame was
-// written by a different (or broken) encoder, not torn by a crash.
-func decodeBody(body []byte) (Record, error) {
-	var rec Record
+// frame is one checksummed frame of a segment, parsed in place: digest
+// and payload alias the frame's bytes.
+type frame struct {
+	kind            Kind
+	flags           byte
+	digest, payload []byte
+	// minimal reports that every length is a minimal uvarint, so the
+	// frame's bytes are exactly what appendFrame writes for the record.
+	minimal bool
+}
+
+// record copies the frame out into a Record.
+func (f *frame) record() Record {
+	rec := Record{
+		Kind:     f.kind,
+		Digest:   string(f.digest),
+		Degraded: f.flags&flagDegraded != 0,
+		Failed:   f.flags&flagFailed != 0,
+		Canceled: f.flags&flagCanceled != 0,
+	}
+	if len(f.payload) > 0 {
+		rec.Payload = append([]byte(nil), f.payload...)
+	}
+	return rec
+}
+
+// parseBody parses one frame body in place. The caller has already
+// verified the checksum, so errors here mean the frame was written by a
+// different (or broken) encoder, not torn by a crash.
+func parseBody(body []byte) (frame, error) {
+	var f frame
 	if len(body) < 2 {
-		return rec, fmt.Errorf("body too short (%d bytes)", len(body))
+		return f, fmt.Errorf("body too short (%d bytes)", len(body))
 	}
-	rec.Kind = Kind(body[0])
-	if !rec.Kind.valid() {
-		return rec, fmt.Errorf("invalid record kind %d", body[0])
+	f.kind, f.flags = Kind(body[0]), body[1]
+	if !f.kind.valid() {
+		return f, fmt.Errorf("invalid record kind %d", body[0])
 	}
-	flags := body[1]
-	if flags&^byte(flagAll) != 0 {
-		return rec, fmt.Errorf("unknown flag bits %#x", flags)
+	if f.flags&^byte(flagAll) != 0 {
+		return f, fmt.Errorf("unknown flag bits %#x", f.flags)
 	}
-	rec.Degraded = flags&flagDegraded != 0
-	rec.Failed = flags&flagFailed != 0
-	rec.Canceled = flags&flagCanceled != 0
 	rest := body[2:]
 
-	dlen, n := binary.Uvarint(rest)
-	if n <= 0 || dlen > maxDigestLen || uint64(len(rest)-n) < dlen {
-		return rec, fmt.Errorf("bad digest length")
+	dlen, dn := binary.Uvarint(rest)
+	if dn <= 0 || dlen > maxDigestLen || uint64(len(rest)-dn) < dlen {
+		return f, fmt.Errorf("bad digest length")
 	}
-	rest = rest[n:]
-	rec.Digest = string(rest[:dlen])
+	rest = rest[dn:]
+	f.digest = rest[:dlen]
 	rest = rest[dlen:]
 
-	plen, n := binary.Uvarint(rest)
-	if n <= 0 || plen > maxPayloadLen || uint64(len(rest)-n) != plen {
-		return rec, fmt.Errorf("bad payload length")
+	plen, pn := binary.Uvarint(rest)
+	if pn <= 0 || plen > maxPayloadLen || uint64(len(rest)-pn) != plen {
+		return f, fmt.Errorf("bad payload length")
 	}
-	rest = rest[n:]
-	if plen > 0 {
-		rec.Payload = append([]byte(nil), rest...)
+	f.payload = rest[pn:]
+	f.minimal = dn == uvarintLen(dlen) && pn == uvarintLen(plen)
+	return f, nil
+}
+
+// frameScanner reads a segment's frames in order without holding the
+// segment: each frame's bytes land in one reused buffer. DecodeSegment
+// and compaction both parse through it.
+type frameScanner struct {
+	r    *bufio.Reader
+	size int64 // segment length in bytes
+	off  int64 // offset of the next frame: the end of the clean prefix
+	buf  []byte
+}
+
+// newFrameScanner starts a scan of the size-byte segment r, checking
+// its magic (ErrBadMagic for anything else).
+func newFrameScanner(r io.Reader, size int64) (*frameScanner, error) {
+	s := &frameScanner{r: bufio.NewReaderSize(r, int(min(size, 64<<10))), size: size}
+	magic, err := s.r.Peek(len(Magic))
+	if err != nil || string(magic) != Magic {
+		return nil, ErrBadMagic
 	}
-	return rec, nil
+	_, _ = s.r.Discard(len(Magic))
+	s.off = int64(len(Magic))
+	return s, nil
+}
+
+// next returns the next frame, its bytes valid until the following
+// call: io.EOF at the clean end of the segment, a *CorruptError at the
+// first malformed frame, or a read error. It never panics and never
+// allocates for a length the segment cannot hold.
+func (s *frameScanner) next() (frame, error) {
+	if s.off >= s.size {
+		return frame{}, io.EOF
+	}
+	head, _ := s.r.Peek(binary.MaxVarintLen64) // fewer at the segment's end
+	blen, n := binary.Uvarint(head)
+	if n <= 0 {
+		return frame{}, &CorruptError{Offset: s.off, Reason: "truncated frame length"}
+	}
+	if blen > maxBodyLen {
+		return frame{}, &CorruptError{Offset: s.off, Reason: fmt.Sprintf("frame length %d exceeds bound", blen)}
+	}
+	if uint64(s.size-s.off-int64(n)) < blen+4 {
+		return frame{}, &CorruptError{Offset: s.off, Reason: "torn frame"}
+	}
+	size := n + int(blen) + 4
+	s.buf = slices.Grow(s.buf[:0], size)[:size]
+	if _, err := io.ReadFull(s.r, s.buf); err != nil {
+		return frame{}, fmt.Errorf("journal: reading segment: %w", err)
+	}
+	body := s.buf[n : n+int(blen)]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(s.buf[n+int(blen):]) {
+		return frame{}, &CorruptError{Offset: s.off, Reason: "checksum mismatch"}
+	}
+	f, err := parseBody(body)
+	if err != nil {
+		return frame{}, &CorruptError{Offset: s.off, Reason: err.Error()}
+	}
+	f.minimal = f.minimal && n == uvarintLen(blen)
+	s.off += int64(size)
+	return f, nil
 }
 
 // DecodeSegment parses one segment's bytes. It returns every record up
@@ -225,35 +319,18 @@ func decodeBody(body []byte) (Record, error) {
 // segment (offset 0); otherwise a *CorruptError positioned at the first
 // bad frame. The decoder never panics, whatever the input.
 func DecodeSegment(data []byte) (recs []Record, clean int64, err error) {
-	if len(data) < len(Magic) || string(data[:len(Magic)]) != Magic {
-		return nil, 0, ErrBadMagic
+	s, err := newFrameScanner(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return nil, 0, err
 	}
-	off := int64(len(Magic))
-	rest := data[len(Magic):]
-	for len(rest) > 0 {
-		blen, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return recs, off, &CorruptError{Offset: off, Reason: "truncated frame length"}
+	for {
+		f, err := s.next()
+		if err == io.EOF {
+			return recs, s.off, nil
 		}
-		if blen > maxBodyLen {
-			return recs, off, &CorruptError{Offset: off, Reason: fmt.Sprintf("frame length %d exceeds bound", blen)}
+		if err != nil {
+			return recs, s.off, err
 		}
-		if uint64(len(rest)-n) < blen+4 {
-			return recs, off, &CorruptError{Offset: off, Reason: "torn frame"}
-		}
-		body := rest[n : n+int(blen)]
-		crc := binary.LittleEndian.Uint32(rest[n+int(blen):])
-		if crc32.ChecksumIEEE(body) != crc {
-			return recs, off, &CorruptError{Offset: off, Reason: "checksum mismatch"}
-		}
-		rec, derr := decodeBody(body)
-		if derr != nil {
-			return recs, off, &CorruptError{Offset: off, Reason: derr.Error()}
-		}
-		adv := int64(n) + int64(blen) + 4
-		off += adv
-		rest = rest[adv:]
-		recs = append(recs, rec)
+		recs = append(recs, f.record())
 	}
-	return recs, off, nil
 }

@@ -500,8 +500,17 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
+// MaxResultWait caps the wait of GET /v1/jobs/{id}/result?wait=<d>; a
+// longer wait is served as the cap. It bounds how long one request
+// holds a connection and a handler goroutine.
+const MaxResultWait = 30 * time.Second
+
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	if r.URL.Query().Has("wait") {
+		s.waitResult(w, r, id)
+		return
+	}
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	var state string
@@ -515,13 +524,92 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	case !ok:
 		writeError(w, http.StatusNotFound, "unknown job %q", id)
 	case state == stateDone:
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(result)
+		writeResult(w, result)
 	case state == stateFailed:
 		writeError(w, http.StatusInternalServerError, "job failed: %s", errMsg)
 	default:
-		writeError(w, http.StatusConflict, "job %s is %s; poll /v1/jobs/%s until done", id, state, id)
+		writeError(w, http.StatusConflict, "job %s is %s; poll /v1/jobs/%s until done, or fetch /v1/jobs/%s/result?wait=30s", id, state, id, id)
+	}
+}
+
+// writeResult answers 200 with a finished job's result bytes.
+func writeResult(w http.ResponseWriter, result []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(result)
+}
+
+// resultWait parses the ?wait value of a result fetch: a non-negative
+// Go duration, capped at MaxResultWait.
+func resultWait(v string) (time.Duration, error) {
+	d, err := time.ParseDuration(v)
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("invalid wait %q: want a non-negative duration such as 30s", v)
+	}
+	return min(d, MaxResultWait), nil
+}
+
+// waitResult serves GET /v1/jobs/{id}/result?wait=<d>: the result bytes
+// (200) or the failure (500) as soon as the job reaches a terminal
+// state, exactly as a plain fetch would answer then, or the job's
+// status (202) once the wait — capped at MaxResultWait — expires first.
+// The waiter holds the job record itself, so retention evicting the job
+// after it finished cannot lose the result, and a job whose record has
+// already aged out is answered from the result cache while it holds
+// the bytes. A failed job resubmitted before the waiter looks again is
+// waited on afresh. A waiter whose client went away returns at once,
+// and a hard stop of the server (its base context canceled) answers
+// 503 to every waiter.
+func (s *Server) waitResult(w http.ResponseWriter, r *http.Request, id string) {
+	wait, err := resultWait(r.URL.Query().Get("wait"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+
+	s.mu.Lock()
+	j, ok := s.jobs[id]
+	if !ok {
+		hit, cached := s.cache.get(id)
+		s.mu.Unlock()
+		if cached {
+			writeResult(w, hit.result)
+		} else {
+			writeError(w, http.StatusNotFound, "unknown job %q", id)
+		}
+		return
+	}
+	for {
+		state, result, errMsg, done := j.state, j.result, j.err, j.done
+		s.mu.Unlock()
+		switch state {
+		case stateDone:
+			writeResult(w, result)
+			return
+		case stateFailed:
+			writeError(w, http.StatusInternalServerError, "job failed: %s", errMsg)
+			return
+		}
+		select {
+		case <-done:
+			// Terminal now, or failed and already resubmitted: look again.
+			s.mu.Lock()
+		case <-timer.C:
+			s.mu.Lock()
+			st := j.status()
+			s.mu.Unlock()
+			annotate(w, id, st.TraceID)
+			setTraceparent(w, st.TraceID)
+			writeJSON(w, http.StatusAccepted, st)
+			return
+		case <-r.Context().Done():
+			return
+		case <-s.baseCtx.Done():
+			writeError(w, http.StatusServiceUnavailable, "server is shutting down")
+			return
+		}
 	}
 }
 

@@ -17,7 +17,10 @@ package shard
 // 502/503/504 — count against an endpoint: a deterministic API answer
 // (400, 404, job-failed 500) proves the node is alive and resets the
 // failure streak. While half-open, exactly one request is admitted as
-// the probe; everything else routes around until the probe reports.
+// the probe; everything else routes around until the probe reports. A
+// probe whose caller cancels it (a deadline, or a hedge loser) reports
+// nothing about the node, so it only frees its slot for the next
+// request.
 
 import (
 	"sync"
@@ -84,29 +87,42 @@ func (b *breaker) transitionLocked(to breakerState) {
 	}
 }
 
-// allow reports whether a request may be sent to the endpoint now.
-// Closed always admits; open admits nothing until the cooldown elapses,
-// at which point the circuit half-opens and admits the caller as the
-// single probe; half-open admits only while the probe slot is free.
-func (b *breaker) allow(now time.Time) bool {
+// allow reports whether a request may be sent to the endpoint now, and
+// whether it goes as the probe. Closed always admits; open admits
+// nothing until the cooldown elapses, at which point the circuit
+// half-opens and admits the caller as the single probe; half-open
+// admits only while the probe slot is free. A probe must end in observe
+// or, when its caller canceled it, release.
+func (b *breaker) allow(now time.Time) (ok, probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case stateClosed:
-		return true
+		return true, false
 	case stateOpen:
 		if now.Sub(b.openedAt) < b.cooldown {
-			return false
+			return false, false
 		}
 		b.transitionLocked(stateHalfOpen)
 		b.probing = true
-		return true
+		return true, true
 	default: // half-open
 		if b.probing {
-			return false
+			return false, false
 		}
 		b.probing = true
-		return true
+		return true, true
+	}
+}
+
+// release frees the probe slot of a probe that ended without a verdict
+// (its caller canceled it), recording neither success nor failure: the
+// circuit stays half-open and the next request becomes the probe.
+func (b *breaker) release() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == stateHalfOpen {
+		b.probing = false
 	}
 }
 

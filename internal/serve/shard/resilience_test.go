@@ -36,10 +36,14 @@ func TestBreakerTransitions(t *testing.T) {
 		transitions = append(transitions, to.String())
 	})
 	t0 := time.Unix(1000, 0)
+	admits := func(now time.Time) bool {
+		ok, _ := b.allow(now)
+		return ok
+	}
 
 	// Closed admits; failures below the threshold keep it closed.
 	for i := 0; i < 2; i++ {
-		if !b.allow(t0) {
+		if !admits(t0) {
 			t.Fatal("closed breaker rejected")
 		}
 		b.observe(false, t0)
@@ -61,19 +65,19 @@ func TestBreakerTransitions(t *testing.T) {
 	if b.current() != stateOpen {
 		t.Fatalf("state after threshold failures = %v, want open", b.current())
 	}
-	if b.allow(t0.Add(50 * time.Millisecond)) {
+	if admits(t0.Add(50 * time.Millisecond)) {
 		t.Fatal("open breaker admitted before the cooldown")
 	}
 
 	// Cooldown elapses: half-open, exactly one probe slot.
 	t1 := t0.Add(150 * time.Millisecond)
-	if !b.allow(t1) {
+	if !admits(t1) {
 		t.Fatal("breaker did not half-open after the cooldown")
 	}
 	if b.current() != stateHalfOpen {
 		t.Fatalf("state after cooldown = %v, want half-open", b.current())
 	}
-	if b.allow(t1) {
+	if admits(t1) {
 		t.Fatal("half-open breaker admitted a second concurrent probe")
 	}
 
@@ -82,20 +86,20 @@ func TestBreakerTransitions(t *testing.T) {
 	if b.current() != stateOpen {
 		t.Fatalf("state after probe failure = %v, want open", b.current())
 	}
-	if b.allow(t1.Add(50 * time.Millisecond)) {
+	if admits(t1.Add(50 * time.Millisecond)) {
 		t.Fatal("reopened breaker admitted before the restarted cooldown")
 	}
 
 	// Second probe succeeds: closed, admitting freely again.
 	t2 := t1.Add(150 * time.Millisecond)
-	if !b.allow(t2) {
+	if !admits(t2) {
 		t.Fatal("breaker did not half-open for the second probe")
 	}
 	b.observe(true, t2)
 	if b.current() != stateClosed {
 		t.Fatalf("state after probe success = %v, want closed", b.current())
 	}
-	if !b.allow(t2) || !b.allow(t2) {
+	if !admits(t2) || !admits(t2) {
 		t.Fatal("closed breaker rejected after recovery")
 	}
 

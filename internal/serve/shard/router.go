@@ -330,7 +330,7 @@ func (rt *Router) route(ctx context.Context, key string, offset int, fn func(con
 	if offset %= len(seq); offset > 0 {
 		seq = append(append(make([]string, 0, len(seq)), seq[offset:]...), seq[:offset]...)
 	}
-	try := func(ep string) error {
+	try := func(ep string, probe bool) error {
 		rt.recordRoute(ep, ep != seq[0] || offset != 0)
 		err := rt.attempt(ctx, clients[ep], fn)
 		switch {
@@ -338,7 +338,12 @@ func (rt *Router) route(ctx context.Context, key string, offset int, fn func(con
 			health[ep].observe(true, time.Now())
 		case ctx.Err() != nil:
 			// The caller canceled mid-attempt (deadline, or a hedge
-			// loser) — that says nothing about the node's health.
+			// loser) — that says nothing about the node's health. A
+			// probe hands its slot back, or the circuit would stay
+			// half-open with no probe ever admitted again.
+			if probe {
+				health[ep].release()
+			}
 		case failoverable(err):
 			health[ep].observe(false, time.Now())
 		default:
@@ -353,12 +358,13 @@ func (rt *Router) route(ctx context.Context, key string, offset int, fn func(con
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if !health[ep].allow(time.Now()) {
+		ok, probe := health[ep].allow(time.Now())
+		if !ok {
 			rt.breakerSkips.Add(1)
 			continue
 		}
 		attempts++
-		err := try(ep)
+		err := try(ep, probe)
 		if err == nil {
 			return nil
 		}
@@ -377,7 +383,7 @@ func (rt *Router) route(ctx context.Context, key string, offset int, fn func(con
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		err := try(seq[0])
+		err := try(seq[0], false)
 		if err == nil {
 			return nil
 		}
